@@ -8,8 +8,7 @@ two-index 0-1 model with LP export supports external solvers.
 """
 
 from .bnb import (SubproblemResult, SubproblemStats, WeightMatrix, label_cap,
-                  best_part_assignment, make_weights, node_bound,
-                  solve_subproblem)
+                  best_part_assignment, make_weights, solve_subproblem)
 from .dinkelbach import (IterationRecord, SolveOutcome, SolveStatus,
                          raw_ratio, seed_from, solve, trivial_solution)
 from .heuristic import SearchConfig, fit_parts, heuristic_solve
@@ -36,7 +35,7 @@ __all__ = [
     "efficacy_counts", "efficacy_ratio", "parse_solution", "report_line",
     "void_upper_bound", "write_solution",
     "WeightMatrix", "SubproblemResult", "SubproblemStats", "label_cap",
-    "best_part_assignment", "make_weights", "node_bound", "solve_subproblem",
+    "best_part_assignment", "make_weights", "solve_subproblem",
     "SolveOutcome", "SolveStatus", "IterationRecord", "raw_ratio",
     "seed_from", "solve", "trivial_solution",
     "SearchConfig", "fit_parts", "heuristic_solve",

@@ -98,13 +98,13 @@ def run_entry(entry: ManifestEntry, time_limit: float | None,
     except (OSError, ValueError) as exc:
         return BenchRow(entry.name, 0, 0, regime_str, entry.expected.to_4dp(),
                         "-", "-", "Error", 0, 0, 0, error=str(exc))
-    t0 = time.time()
+    t0 = time.monotonic()
     seed = heuristic_solve(inst, SearchConfig(
         regime=entry.regime, restarts=restarts, time_budget=heuristic_time,
         rng_seed=_instance_seed(entry.name)))
     budget = None
     if time_limit is not None:
-        budget = max(0.0, time_limit - (time.time() - t0))
+        budget = max(0.0, time_limit - (time.monotonic() - t0))
     out = solve(inst, entry.regime, seed_solution=seed, time_limit=budget)
     achieved = out.solution.efficacy
     match = "yes" if achieved.to_4dp() == entry.expected.to_4dp() else "no"
@@ -112,7 +112,7 @@ def run_entry(entry: ManifestEntry, time_limit: float | None,
         entry.name, inst.m, inst.p, regime_str,
         entry.expected.to_4dp(), achieved.to_4dp(), match,
         out.status.value, out.iterations, out.nodes,
-        int(round((time.time() - t0) * 1000)))
+        int(round((time.monotonic() - t0) * 1000)))
 
 
 def run_bench(entries, time_limit: float | None = None, restarts: int = 8,

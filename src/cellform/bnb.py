@@ -10,16 +10,14 @@ residual, when the regime allows it). The search therefore only branches on
 machine partitions, encoded as restricted-growth strings with machines
 ordered densest-first, and bounds each prefix by letting every part pick its
 best existing cell while every unassigned machine contributes all of its
-positive weights.
-
-Two engines share this logic: the plain-Python one below (the reference) and
-a compiled twin in bnb_fast. They return identical values and node counts.
+positive weights (prefix_bound). The search is a single depth-first loop
+over an explicit label stack in plain Python and numpy.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,47 +44,23 @@ class WeightMatrix:
 
 
 def make_weights(inst: Instance, lam: Ratio) -> WeightMatrix:
-    a = np.asarray(inst.a, dtype=np.int64)
+    a = inst.matrix
     w = lam.den * a - lam.num * (1 - a)
     return WeightMatrix(lam.num, lam.den, inst.n1, w, np.maximum(w, 0).sum(axis=0))
 
 
-@dataclass
-class SearchNode:
-    """A partial machine assignment: labels[i] is the 0-based cell of machine
-    i, or -1 while unassigned."""
-
-    labels: tuple[int, ...]
-
-    @property
-    def depth(self) -> int:
-        return sum(1 for lab in self.labels if lab >= 0)
-
-    def cell_col_sums(self, weights: WeightMatrix) -> np.ndarray:
-        k = max((lab for lab in self.labels if lab >= 0), default=-1) + 1
-        sums = np.zeros((k, weights.w.shape[1]), dtype=np.int64)
-        for i, lab in enumerate(self.labels):
-            if lab >= 0:
-                sums[lab] += weights.w[i]
-        return sums
-
-
-def node_bound(weights: WeightMatrix, node: SearchNode) -> int:
+def prefix_bound(cell_sums: np.ndarray, future: int, const: int) -> int:
     """Optimistic value of the best completion of a partial assignment.
 
-    Each part takes max(best existing cell column sum, 0) - it may also open
-    a fresh cell or go residual, both worth at least 0 - and every unassigned
-    machine contributes all of its positive weights. Admissible for both
-    regimes (the no-residual feasible set is a subset of allow-residual's).
+    cell_sums (k x p, k >= 0) holds the weight column sums of the cells the
+    assigned machines form; future is the sum of the positive weights of the
+    unassigned machines. Each part takes max(best existing cell column sum,
+    0) - it may also open a fresh cell or go residual, both worth at least
+    0 - and every unassigned machine contributes all of its positive
+    weights. Admissible for both regimes (the no-residual feasible set is a
+    subset of allow-residual's).
     """
-    sums = node.cell_col_sums(weights)
-    if sums.shape[0]:
-        placed = int(np.maximum(sums.max(axis=0), 0).sum())
-    else:
-        placed = 0
-    unassigned = [i for i, lab in enumerate(node.labels) if lab < 0]
-    future = int(np.maximum(weights.w[unassigned], 0).sum()) if unassigned else 0
-    return placed + future - weights.constant
+    return int(cell_sums.max(axis=0, initial=0).sum()) + future - const
 
 
 def optimal_parts(S: np.ndarray, no_residual: bool) -> tuple[np.ndarray, int]:
@@ -225,7 +199,6 @@ def solve_subproblem(
     incumbent_F: int | None = None,
     time_limit: float | None = None,
     node_limit: int | None = None,
-    engine: str = "auto",
     prune: bool = True,
 ) -> SubproblemResult:
     """Maximize F = q_den*n1_in - p_num*(n0_in + n1) over feasible groupings.
@@ -238,8 +211,8 @@ def solve_subproblem(
     solution with F >= 0, so returned maxima are exact whenever they are
     nonnegative; `prune=False` disables all pruning (full enumeration).
     """
-    t0 = time.time()
-    a = np.asarray(inst.a, dtype=np.int64)
+    t0 = time.monotonic()
+    a = inst.matrix
     weights = make_weights(inst, lam)
     no_res = regime is Regime.NO_RESIDUAL
     c_max = label_cap(inst, regime)
@@ -249,32 +222,13 @@ def solve_subproblem(
         void_cap = void_upper_bound(inst.n1, lam)
     deadline = t0 + time_limit if time_limit is not None else None
 
-    if engine == "auto":
-        from . import bnb_fast
+    best_F, best_m, best_p, stats, truncated = _search(
+        a, weights.w, order, c_max, no_res, weights.constant, void_cap,
+        _NEG_INF if incumbent_F is None else incumbent_F,
+        node_limit, deadline, prune,
+    )
 
-        engine = "fast" if bnb_fast.available() else "python"
-
-    if engine == "fast":
-        from . import bnb_fast
-
-        best_F, best_m, best_p, raw, truncated = bnb_fast.run(
-            a, weights.w, order, c_max, no_res, weights.constant, void_cap,
-            _NEG_INF if incumbent_F is None else incumbent_F,
-            -1 if node_limit is None else node_limit,
-            -1.0 if deadline is None else deadline,
-            prune,
-        )
-        stats = SubproblemStats(*map(int, raw), engine="fast")
-    elif engine == "python":
-        best_F, best_m, best_p, stats, truncated = _search_py(
-            a, weights.w, order, c_max, no_res, weights.constant, void_cap,
-            _NEG_INF if incumbent_F is None else incumbent_F,
-            node_limit, deadline, prune,
-        )
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-
-    stats.time_ms = int((time.time() - t0) * 1000)
+    stats.time_ms = int((time.monotonic() - t0) * 1000)
     solution = None
     if best_m is not None:
         machine_cell = [int(v) for v in best_m]
@@ -286,8 +240,8 @@ def solve_subproblem(
     return SubproblemResult(int(best_F), solution, truncated, stats)
 
 
-def _search_py(a, w, order, c_max, no_res, const, void_cap, best_F0,
-               node_limit, deadline, prune):
+def _search(a, w, order, c_max, no_res, const, void_cap, best_F0,
+            node_limit, deadline, prune):
     m, p = w.shape
     wo = w[order]
     zo = 1 - a[order]
@@ -340,14 +294,12 @@ def _search_py(a, w, order, c_max, no_res, const, void_cap, best_F0,
         tick += 1
         if deadline is not None and tick >= 1024:
             tick = 0
-            if time.time() > deadline:
+            if time.monotonic() > deadline:
                 truncated = True
                 break
 
         if prune:
-            colmax = cell_sums[:k].max(axis=0)
-            bound = int(np.maximum(colmax, 0).sum()) + int(suffix[depth]) - const
-            if bound <= best_F:
+            if prefix_bound(cell_sums[:k], int(suffix[depth]), const) <= best_F:
                 stats.pruned_bound += 1
                 continue
             # Void prune: only while best_F >= 0, where it cannot cut any

@@ -34,6 +34,20 @@ def _add_regime(parser):
              "allow-residual: label 0 and one-sided cells permitted")
 
 
+def count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
+def seconds(text: str) -> float:
+    value = float(text)
+    if not value >= 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def _regime(args) -> Regime:
     return benchmod.regime_from_string(args.regime)
 
@@ -153,7 +167,7 @@ def cmd_solve(args) -> int:
     out = dinkelbach_solve(
         inst, regime, seed_lambda=seed_lambda, seed_solution=seed_solution,
         subsolver=subsolver, time_limit=args.time_limit,
-        node_limit=args.node_limit, engine=args.engine)
+        node_limit=args.node_limit)
 
     out_path.write_text(write_solution(out.solution))
     print(f"wrote {out_path}", file=sys.stderr)
@@ -236,19 +250,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-lambda", default="heuristic",
                    help="starting ratio: 'heuristic', 'zero', a rational "
                         "like 15/24, or a decimal like 0.6957")
-    p.add_argument("--time-limit", type=float, default=None, metavar="SEC")
-    p.add_argument("--node-limit", type=int, default=None, metavar="N")
+    p.add_argument("--time-limit", type=seconds, default=None, metavar="SEC")
+    p.add_argument("--node-limit", type=count, default=None, metavar="N")
     p.add_argument("--backend", choices=("internal", "lp-export"),
                    default="internal",
                    help="lp-export writes one .lp per iteration and waits "
                         "for an externally produced assignment file")
-    p.add_argument("--engine", choices=("auto", "fast", "python"),
-                   default="auto", help="subproblem search engine")
     p.add_argument("--lp-dir", default=None,
                    help="directory for lp-export round files")
     p.add_argument("-o", "--output", default=None,
                    help="solution file path (default: instance with .sol)")
-    p.add_argument("--heuristic-time", type=float, default=None, metavar="SEC")
+    p.add_argument("--heuristic-time", type=seconds, default=None,
+                   metavar="SEC")
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--seed", type=int, default=0,
                    help="heuristic rng seed")
@@ -264,9 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a benchmark manifest")
     p.add_argument("manifest")
-    p.add_argument("--time-limit", type=float, default=60.0, metavar="SEC",
+    p.add_argument("--time-limit", type=seconds, default=60.0, metavar="SEC",
                    help="per-instance budget including seeding (default 60)")
-    p.add_argument("--heuristic-time", type=float, default=None, metavar="SEC")
+    p.add_argument("--heuristic-time", type=seconds, default=None,
+                   metavar="SEC")
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--csv", default=None, metavar="PATH",
                    help="also write results as CSV")

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .bnb import SubproblemResult, solve_subproblem
+from .bnb import solve_subproblem
 from .instances import Instance
 from .rational import Ratio, parse_ratio
 from .solutions import Regime, Solution, canonicalize, efficacy
@@ -103,16 +103,6 @@ def raw_ratio(inst: Instance, sol: Solution) -> Ratio:
     return Ratio(sol.n1_in, den)
 
 
-def _default_subsolver(engine: str):
-    def run(inst, lam, regime, incumbent_F, time_limit, node_limit
-            ) -> SubproblemResult:
-        return solve_subproblem(inst, lam, regime, incumbent_F=incumbent_F,
-                                time_limit=time_limit, node_limit=node_limit,
-                                engine=engine)
-
-    return run
-
-
 def solve(
     inst: Instance,
     regime: Regime,
@@ -121,7 +111,6 @@ def solve(
     subsolver=None,
     time_limit: float | None = None,
     node_limit: int | None = None,
-    engine: str = "auto",
 ) -> SolveOutcome:
     """Maximize grouping efficacy exactly, or return the best grouping found
     within the budget.
@@ -130,11 +119,14 @@ def solve(
     efficacy pair) and the incumbent; a bare seed_lambda only shifts the
     first round's ratio. With neither, the loop starts at 0/1. time_limit
     is a shared wall-clock budget in seconds; node_limit applies per round.
+    subsolver replaces bnb.solve_subproblem and is called with the same
+    positional arguments: (inst, lam, regime, incumbent_F, time_limit,
+    node_limit).
     """
-    t0 = time.time()
+    t0 = time.monotonic()
     deadline = t0 + time_limit if time_limit is not None else None
     if subsolver is None:
-        subsolver = _default_subsolver(engine)
+        subsolver = solve_subproblem
 
     incumbent: Solution | None = None
     if seed_solution is not None:
@@ -153,15 +145,15 @@ def solve(
     while rounds < _MAX_ROUNDS:
         remaining = None
         if deadline is not None:
-            remaining = deadline - time.time()
+            remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
         rounds += 1
-        it_t0 = time.time()
+        it_t0 = time.monotonic()
         res = subsolver(inst, lam, regime,
                         0 if incumbent is not None else None,
                         remaining, node_limit)
-        it_ms = int(round((time.time() - it_t0) * 1000))
+        it_ms = int(round((time.monotonic() - it_t0) * 1000))
         total_nodes += res.stats.nodes
         F = res.best_F if res.best_F is not None else 0
         history.append(IterationRecord(rounds, lam, F, res.stats.nodes, it_ms))
@@ -198,5 +190,5 @@ def solve(
         iterations=rounds,
         history=history,
         nodes=total_nodes,
-        time_ms=int(round((time.time() - t0) * 1000)),
+        time_ms=int(round((time.monotonic() - t0) * 1000)),
     )

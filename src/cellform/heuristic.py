@@ -23,21 +23,10 @@ import numpy as np
 from .bnb import best_part_assignment, label_cap, make_weights
 from .instances import Instance
 from .rational import Ratio
-from .solutions import Regime, Solution, canonicalize, efficacy
+from .solutions import Regime, Solution, canonicalize, efficacy, renumber
 
 _FIT_ROUNDS = 64       # ratio strictly increases each round; never reached
 _SPLIT_ENUM_MAX = 10   # cells up to this size get exact best two-partitions
-
-
-def _renumber(labels) -> list[int]:
-    """First-occurrence relabeling to 1..k (cell labels, not a 0-based RGS)."""
-    mapping: dict[int, int] = {}
-    out = []
-    for lab in labels:
-        if lab not in mapping:
-            mapping[lab] = len(mapping) + 1
-        out.append(mapping[lab])
-    return out
 
 
 @dataclass
@@ -78,7 +67,7 @@ def fit_parts(inst: Instance, machine_cell: list[int], regime: Regime,
 
 def _counts(inst: Instance, machine_cell: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell ones/zeros each part would contribute, k x p."""
-    a = np.asarray(inst.a, dtype=np.int64)
+    a = inst.matrix
     k = max(machine_cell)
     ones = np.zeros((k, inst.p), dtype=np.int64)
     sizes = np.zeros(k, dtype=np.int64)
@@ -159,11 +148,11 @@ def _split_candidates(rows: list[int], a: np.ndarray
 
 def _climb(inst: Instance, machine_cell: list[int], regime: Regime,
            deadline: float | None) -> Solution:
-    a = np.asarray(inst.a, dtype=np.int64)
+    a = inst.matrix
     cap = label_cap(inst, regime)
     sol = fit_parts(inst, machine_cell, regime)
     while True:
-        if deadline is not None and time.time() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             return sol
         k = max(sol.machine_cell)
         improved = None
@@ -177,7 +166,7 @@ def _climb(inst: Instance, machine_cell: list[int], regime: Regime,
                     continue
                 cells = list(sol.machine_cell)
                 cells[i] = dst
-                cells = _renumber(cells)
+                cells = renumber(cells)
                 if regime is Regime.NO_RESIDUAL and max(cells) > inst.p:
                     continue
                 cand = fit_parts(inst, cells, regime, sol.efficacy)
@@ -194,7 +183,7 @@ def _climb(inst: Instance, machine_cell: list[int], regime: Regime,
             for c in range(1, k + 1):
                 for d in range(c + 1, k + 1):
                     cells = [c if v == d else v for v in sol.machine_cell]
-                    cand = fit_parts(inst, _renumber(cells), regime,
+                    cand = fit_parts(inst, renumber(cells), regime,
                                      sol.efficacy)
                     if cand.efficacy > sol.efficacy:
                         improved = cand
@@ -212,7 +201,7 @@ def _climb(inst: Instance, machine_cell: list[int], regime: Regime,
                     cells = list(sol.machine_cell)
                     for r in right:
                         cells[r] = k + 1
-                    cand = fit_parts(inst, _renumber(cells), regime,
+                    cand = fit_parts(inst, renumber(cells), regime,
                                      sol.efficacy)
                     if cand.efficacy > sol.efficacy and (
                             best_cand is None or cand.efficacy > best_cand.efficacy):
@@ -235,13 +224,13 @@ def _random_machine_cells(m: int, k: int, rng: random.Random) -> list[int]:
     for i in range(m):
         if labels[i] == 0:
             labels[i] = rng.randint(1, k)
-    return _renumber(labels)
+    return renumber(labels)
 
 
 def heuristic_solve(inst: Instance, cfg: SearchConfig) -> Solution:
     """Best feasible grouping found across cfg.restarts climbs."""
     regime = cfg.regime
-    deadline = time.time() + cfg.time_budget if cfg.time_budget is not None else None
+    deadline = time.monotonic() + cfg.time_budget if cfg.time_budget is not None else None
     if regime is Regime.NO_RESIDUAL and (inst.m == 1 or inst.p == 1):
         sol = Solution(1, [1] * inst.m, [1] * inst.p)
         efficacy(inst, sol)
@@ -250,7 +239,7 @@ def heuristic_solve(inst: Instance, cfg: SearchConfig) -> Solution:
     kmax = min(inst.m, inst.p)
     best: Solution | None = None
     for _ in range(cfg.restarts):
-        if deadline is not None and time.time() > deadline and best is not None:
+        if deadline is not None and time.monotonic() > deadline and best is not None:
             break
         k = rng.randint(1, kmax)
         cells = _random_machine_cells(inst.m, k, rng)

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .rational import Ratio
 
 
@@ -49,6 +51,13 @@ class Instance:
     @cached_property
     def n1(self) -> int:
         return sum(sum(row) for row in self.a)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The incidence matrix as a read-only (m, p) int64 array, built once."""
+        a = np.array(self.a, dtype=np.int64)
+        a.setflags(write=False)
+        return a
 
 
 @dataclass

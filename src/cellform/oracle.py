@@ -41,7 +41,7 @@ def oracle_solve(inst: Instance, regime: Regime, limit: tuple[int, int] = (7, 8)
             f"oracle limited to {max_m}x{max_p}, got {inst.m}x{inst.p}"
         )
 
-    a = np.asarray(inst.a, dtype=np.int64)
+    a = inst.matrix
     m, p = inst.m, inst.p
     n1 = inst.n1
     cols = np.arange(p)

@@ -27,13 +27,3 @@ def iter_set_partitions(n: int):
             a[t] = 0
             b[t] = cap
 
-
-def rgs_normalize(labels) -> list[int]:
-    """Relabel an arbitrary labeling to its RGS (first-occurrence) form."""
-    mapping: dict[int, int] = {}
-    out = []
-    for lab in labels:
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        out.append(mapping[lab])
-    return out

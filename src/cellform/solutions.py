@@ -127,21 +127,28 @@ def check_feasible(inst: Instance, sol: Solution, regime: Regime) -> tuple[bool,
     return not problems, problems
 
 
+def renumber(labels) -> list[int]:
+    """Relabel cells 1..c in order of first occurrence. Residual label 0
+    stays 0. Idempotent."""
+    mapping = {0: 0}
+    out = []
+    for lab in labels:
+        if lab not in mapping:
+            mapping[lab] = len(mapping)
+        out.append(mapping[lab])
+    return out
+
+
 def canonicalize(sol: Solution) -> Solution:
     """Relabel cells 1..c by first machine occurrence, then first part
     occurrence for machine-less cells. Residual label 0 is untouched and
     unused (phantom) labels disappear. Idempotent."""
-    mapping: dict[int, int] = {}
-    for lab in sol.machine_cell:
-        if lab != 0 and lab not in mapping:
-            mapping[lab] = len(mapping) + 1
-    for lab in sol.part_cell:
-        if lab != 0 and lab not in mapping:
-            mapping[lab] = len(mapping) + 1
+    m = len(sol.machine_cell)
+    labels = renumber(sol.machine_cell + sol.part_cell)
     out = sol.copy()
-    out.c = len(mapping)
-    out.machine_cell = [mapping.get(lab, 0) for lab in sol.machine_cell]
-    out.part_cell = [mapping.get(lab, 0) for lab in sol.part_cell]
+    out.c = max(labels, default=0)
+    out.machine_cell = labels[:m]
+    out.part_cell = labels[m:]
     return out
 
 

@@ -1,5 +1,9 @@
 import io
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -253,6 +257,47 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as err:
         main(["solve", "x.cfp", "--regime", "sideways"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{f}", "--node-limit", "0"],
+    ["solve", "{f}", "--node-limit", "-3"],
+    ["solve", "{f}", "--time-limit", "-1"],
+    ["solve", "{f}", "--heuristic-time", "-1"],
+    ["bench", "{f}", "--time-limit", "-1"],
+    ["bench", "{f}", "--heuristic-time", "-1"],
+])
+def test_bad_budgets_are_usage_errors(inst_file, argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([a.format(f=inst_file) for a in argv])
+    assert err.value.code == 2
+    assert f"argument {argv[2]}: must be >= " in capsys.readouterr().err
+
+
+FOOTPRINT_SCRIPT = """
+import sys
+from cellform.cli import main
+a2, out_dir = sys.argv[1:]
+for regime in ("no-residual", "allow-residual"):
+    if main(["solve", a2, "--regime", regime, "-o", f"{out_dir}/{regime}.sol"]):
+        sys.exit(1)
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "numba")))
+"""
+
+
+def test_solve_imports_neither_scipy_nor_numba(tmp_path):
+    # cover repair and the search are plain numpy; importing scipy would
+    # more than double the resident memory of a solve
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT,
+         str(root / "data" / "testset_a" / "A2.cfp"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_missing_instance_is_error_not_crash(tmp_path, capsys):

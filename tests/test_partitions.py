@@ -1,4 +1,4 @@
-from cellform.partitions import iter_set_partitions, rgs_normalize
+from cellform.partitions import iter_set_partitions
 
 BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877}
 
@@ -26,11 +26,3 @@ def test_lexicographic_order():
     got = [tuple(x) for x in iter_set_partitions(3)]
     assert got == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
 
-
-def test_rgs_normalize_zero_based():
-    assert rgs_normalize([5, 5, 2, 5, 2]) == [0, 0, 1, 0, 1]
-    assert rgs_normalize([3, 1, 2]) == [0, 1, 2]
-    assert rgs_normalize([]) == []
-    # idempotent on already-normal strings
-    for labels in iter_set_partitions(5):
-        assert rgs_normalize(labels) == list(labels)

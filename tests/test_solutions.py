@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cellform.instances import FormatError, Instance
+from cellform.partitions import iter_set_partitions
 from cellform.rational import Ratio
 from cellform.solutions import (
     Regime,
@@ -12,6 +13,7 @@ from cellform.solutions import (
     efficacy,
     efficacy_counts,
     parse_solution,
+    renumber,
     report_line,
     void_upper_bound,
     write_solution,
@@ -110,6 +112,17 @@ def test_check_feasible_flags_bad_shapes_and_labels(ref_instance):
     ok, problems = check_feasible(ref_instance, wild, Regime.ALLOW_RESIDUAL)
     assert not ok
     assert "machine 5 label 3 out of range 0..1" in problems
+
+
+def test_renumber_first_occurrence():
+    assert renumber([5, 5, 2, 5, 2]) == [1, 1, 2, 1, 2]
+    assert renumber([3, 1, 2]) == [1, 2, 3]
+    assert renumber([]) == []
+    assert renumber([0, 4, 0, 7, 4]) == [0, 1, 0, 2, 1]  # residual stays 0
+    # idempotent on already-normal strings
+    for labels in iter_set_partitions(5):
+        one_based = [lab + 1 for lab in labels]
+        assert renumber(one_based) == one_based
 
 
 def test_canonicalize_orders_by_first_occurrence():
