@@ -7,8 +7,8 @@ machine partitions; a brute-force oracle certifies small instances, and a
 two-index 0-1 model with LP export supports external solvers.
 """
 
-from .bnb import (SubproblemResult, SubproblemStats, WeightMatrix, label_cap,
-                  best_part_assignment, make_weights, solve_subproblem)
+from .bnb import (SubproblemResult, SubproblemStats, label_cap, make_weights,
+                  solve_subproblem)
 from .dinkelbach import (IterationRecord, SolveOutcome, SolveStatus,
                          raw_ratio, seed_from, solve, trivial_solution)
 from .heuristic import SearchConfig, fit_parts, heuristic_solve
@@ -34,8 +34,8 @@ __all__ = [
     "Regime", "Solution", "canonicalize", "check_feasible", "efficacy",
     "efficacy_counts", "efficacy_ratio", "parse_solution", "report_line",
     "void_upper_bound", "write_solution",
-    "WeightMatrix", "SubproblemResult", "SubproblemStats", "label_cap",
-    "best_part_assignment", "make_weights", "solve_subproblem",
+    "SubproblemResult", "SubproblemStats", "label_cap", "make_weights",
+    "solve_subproblem",
     "SolveOutcome", "SolveStatus", "IterationRecord", "raw_ratio",
     "seed_from", "solve", "trivial_solution",
     "SearchConfig", "fit_parts", "heuristic_solve",

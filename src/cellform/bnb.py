@@ -4,9 +4,11 @@ For a fixed lambda = p_num/q_den the parametric objective
 
     F = q_den * n1_in - p_num * (n0_in + n1)
 
-is additive over (cell, part) pairs, so once the machine partition is fixed
-each part independently takes the cell with the best weight-column sum (or
-residual, when the regime allows it). The search therefore only branches on
+is additive over (cell, part) pairs with weights q_den*a - p_num*(1-a)
+(make_weights, an (m, p) int64 array), so once the machine partition is
+fixed each part independently takes the cell with the best weight-column
+sum, or residual when the regime allows it (optimal_parts, which the
+heuristic's part placement calls too). The search therefore only branches on
 machine partitions, encoded as restricted-growth strings with machines
 ordered densest-first, and bounds each prefix by letting every part pick its
 best existing cell while every unassigned machine contributes all of its
@@ -28,25 +30,11 @@ from .solutions import Regime, Solution, canonicalize, efficacy, void_upper_boun
 _NEG_INF = -(1 << 62)
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Per-(machine, part) weights q_den*a - p_num*(1-a) for lambda = p_num/q_den."""
-
-    p_num: int
-    q_den: int
-    n1: int
-    w: np.ndarray             # (m, p) int64
-    pos_col_sums: np.ndarray  # (p,) int64: per-part sum of positive weights
-
-    @property
-    def constant(self) -> int:
-        return self.p_num * self.n1
-
-
-def make_weights(inst: Instance, lam: Ratio) -> WeightMatrix:
+def make_weights(inst: Instance, lam: Ratio) -> np.ndarray:
+    """Per-(machine, part) weights q_den*a - p_num*(1-a) for lambda =
+    p_num/q_den, as an (m, p) int64 array."""
     a = inst.matrix
-    w = lam.den * a - lam.num * (1 - a)
-    return WeightMatrix(lam.num, lam.den, inst.n1, w, np.maximum(w, 0).sum(axis=0))
+    return lam.den * a - lam.num * (1 - a)
 
 
 def prefix_bound(cell_sums: np.ndarray, future: int, const: int) -> int:
@@ -151,18 +139,6 @@ def _min_loss_cover(loss) -> tuple[list[int], int]:
     return pick, total
 
 
-def best_part_assignment(
-    weights: WeightMatrix, machine_cell, regime: Regime
-) -> tuple[list[int], int]:
-    """Optimal part labels for a complete machine partition (labels 1..k)."""
-    k = max(machine_cell)
-    sums = np.zeros((k, weights.w.shape[1]), dtype=np.int64)
-    for i, lab in enumerate(machine_cell):
-        sums[lab - 1] += weights.w[i]
-    labels, total = optimal_parts(sums, regime is Regime.NO_RESIDUAL)
-    return [int(v) for v in labels], total
-
-
 @dataclass
 class SubproblemStats:
     nodes: int = 0
@@ -213,7 +189,7 @@ def solve_subproblem(
     """
     t0 = time.monotonic()
     a = inst.matrix
-    weights = make_weights(inst, lam)
+    w = make_weights(inst, lam)
     no_res = regime is Regime.NO_RESIDUAL
     c_max = label_cap(inst, regime)
     order = sorted(range(inst.m), key=lambda i: (-int(a[i].sum()), i))
@@ -223,7 +199,7 @@ def solve_subproblem(
     deadline = t0 + time_limit if time_limit is not None else None
 
     best_F, best_m, best_p, stats, truncated = _search(
-        a, weights.w, order, c_max, no_res, weights.constant, void_cap,
+        a, w, order, c_max, no_res, lam.num * inst.n1, void_cap,
         _NEG_INF if incumbent_F is None else incumbent_F,
         node_limit, deadline, prune,
     )

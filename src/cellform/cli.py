@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="solution file path (default: instance with .sol)")
     p.add_argument("--heuristic-time", type=seconds, default=None,
                    metavar="SEC")
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=count, default=8)
     p.add_argument("--seed", type=int, default=0,
                    help="heuristic rng seed")
     p.set_defaults(func=cmd_solve)
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-instance budget including seeding (default 60)")
     p.add_argument("--heuristic-time", type=seconds, default=None,
                    metavar="SEC")
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=count, default=8)
     p.add_argument("--csv", default=None, metavar="PATH",
                    help="also write results as CSV")
     p.set_defaults(func=cmd_bench)

@@ -34,6 +34,7 @@ _MAX_ROUNDS = 10_000  # safety valve; the ratio sequence is finite
 class SolveStatus(str, Enum):
     OPTIMAL = "Optimal"
     TIME_LIMIT = "TimeLimit"
+    NODE_LIMIT = "NodeLimit"
     # Unreachable for m, p >= 1 (one cell holding everything is always
     # feasible) but part of the outcome vocabulary.
     INFEASIBLE = "Infeasible"
@@ -119,6 +120,8 @@ def solve(
     efficacy pair) and the incumbent; a bare seed_lambda only shifts the
     first round's ratio. With neither, the loop starts at 0/1. time_limit
     is a shared wall-clock budget in seconds; node_limit applies per round.
+    A round the node budget stops ends the solve as NodeLimit, one the
+    clock stops as TimeLimit.
     subsolver replaces bnb.solve_subproblem and is called with the same
     positional arguments: (inst, lam, regime, incumbent_F, time_limit,
     node_limit).
@@ -164,6 +167,8 @@ def solve(
             incumbent = res.solution
             next_lam = raw_ratio(inst, incumbent)
         if res.truncated:
+            if node_limit is not None and res.stats.nodes >= node_limit:
+                status = SolveStatus.NODE_LIMIT
             break
         if res.solution is None:
             # Exact maximum equals the baseline: either the incumbent's 0

@@ -3,10 +3,10 @@ parametric solver with a good starting ratio.
 
 Part placement is always kept optimal for the machine grouping at hand
 (the part side separates once machines are fixed), so the neighborhood
-effectively lives on machine partitions: relocate one machine, relocate
-one part, merge two cells, or split one cell in two. Acceptance is strict
-efficacy increase under exact rational comparison, so every climb
-terminates; restarts supply the diversification.
+effectively lives on machine partitions: relocate one machine, merge two
+cells, or split one cell in two. Acceptance is strict efficacy increase
+under exact rational comparison, so every climb terminates; restarts
+supply the diversification.
 
 Determinism: the same rng_seed gives the same answer as long as the time
 budget does not cut a run short.
@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bnb import best_part_assignment, label_cap, make_weights
+from .bnb import label_cap, optimal_parts
 from .instances import Instance
 from .rational import Ratio
-from .solutions import Regime, Solution, canonicalize, efficacy, renumber
+from .solutions import (Regime, Solution, canonicalize, efficacy,
+                        efficacy_ratio, renumber)
 
 _FIT_ROUNDS = 64       # ratio strictly increases each round; never reached
 _SPLIT_ENUM_MAX = 10   # cells up to this size get exact best two-partitions
@@ -50,15 +51,21 @@ def fit_parts(inst: Instance, machine_cell: list[int], regime: Regime,
     solution is exactly optimal for this machine partition."""
     if lam is None:
         lam = Ratio(0, 1)
+    ones, zeros = _counts(inst, machine_cell)
+    no_res = regime is Regime.NO_RESIDUAL
     best: Solution | None = None
     for _ in range(_FIT_ROUNDS):
-        weights = make_weights(inst, lam)
-        labels, _total = best_part_assignment(weights, machine_cell, regime)
-        sol = Solution(max(machine_cell), list(machine_cell), labels)
-        tau = efficacy(inst, sol)
+        # the per-cell column sums of make_weights(inst, lam)
+        labels, _total = optimal_parts(lam.den * ones - lam.num * zeros, no_res)
+        placed = np.flatnonzero(labels)
+        cells = labels[placed] - 1
+        n1_in = int(ones[cells, placed].sum())
+        n0_in = int(zeros[cells, placed].sum())
+        tau = efficacy_ratio(inst.n1, n1_in, n0_in).normalized()
         if best is not None and not tau > best.efficacy:
             return best
-        best = sol
+        best = Solution(len(ones), list(machine_cell), labels.tolist(),
+                        n1_in, n0_in, tau)
         if tau == lam:
             return best
         lam = tau
@@ -66,48 +73,18 @@ def fit_parts(inst: Instance, machine_cell: list[int], regime: Regime,
 
 
 def _counts(inst: Instance, machine_cell: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell ones/zeros each part would contribute, k x p."""
+    """Per-cell ones/zeros each part would contribute, k x p. Residual
+    machines (label 0) join no cell."""
     a = inst.matrix
     k = max(machine_cell)
     ones = np.zeros((k, inst.p), dtype=np.int64)
     sizes = np.zeros(k, dtype=np.int64)
     for i, lab in enumerate(machine_cell):
-        ones[lab - 1] += a[i]
-        sizes[lab - 1] += 1
+        if lab:
+            ones[lab - 1] += a[i]
+            sizes[lab - 1] += 1
     zeros = sizes[:, None] - ones
     return ones, zeros
-
-
-def _try_part_moves(inst: Instance, sol: Solution, regime: Regime) -> Solution | None:
-    """Relocate one part to another cell (or to residual when allowed).
-    Evaluated by exact count deltas; accepted on strict efficacy increase."""
-    ones, zeros = _counts(inst, sol.machine_cell)
-    k = ones.shape[0]
-    no_res = regime is Regime.NO_RESIDUAL
-    cell_load = [0] * (k + 1)
-    for lab in sol.part_cell:
-        cell_load[lab] += 1
-    for j in range(inst.p):
-        src = sol.part_cell[j]
-        if no_res and cell_load[src] == 1:
-            continue  # would leave a cell without parts
-        targets = range(1, k + 1) if no_res else range(0, k + 1)
-        for dst in targets:
-            if dst == src:
-                continue
-            d_ones = (ones[dst - 1, j] if dst else 0) - (ones[src - 1, j] if src else 0)
-            d_zeros = (zeros[dst - 1, j] if dst else 0) - (zeros[src - 1, j] if src else 0)
-            n1_in = sol.n1_in + int(d_ones)
-            n0_in = sol.n0_in + int(d_zeros)
-            den = inst.n1 + n0_in
-            if den <= 0:
-                continue
-            if Ratio(n1_in, den) > sol.efficacy:
-                cand = sol.copy()
-                cand.part_cell[j] = dst
-                efficacy(inst, cand)
-                return cand
-    return None
 
 
 def _split_candidates(rows: list[int], a: np.ndarray
@@ -175,9 +152,6 @@ def _climb(inst: Instance, machine_cell: list[int], regime: Regime,
                     break
             if improved:
                 break
-
-        if improved is None:
-            improved = _try_part_moves(inst, sol, regime)
 
         if improved is None and k >= 2:  # merge two cells
             for c in range(1, k + 1):

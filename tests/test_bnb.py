@@ -6,7 +6,6 @@ import pytest
 
 from cellform.bnb import (
     _min_loss_cover,
-    best_part_assignment,
     label_cap,
     make_weights,
     optimal_parts,
@@ -45,11 +44,9 @@ def naive_max_F(inst, lam, regime):
 
 def test_make_weights(ref_instance):
     w = make_weights(ref_instance, Ratio(15, 24))
-    assert w.p_num == 15 and w.q_den == 24
-    assert w.constant == 15 * 20
-    assert w.w[0, 0] == 24 and w.w[0, 1] == -15
-    assert (w.w == np.where(np.asarray(ref_instance.a) == 1, 24, -15)).all()
-    assert w.pos_col_sums.tolist() == (np.maximum(w.w, 0).sum(axis=0)).tolist()
+    assert w.dtype == np.int64 and w.shape == (5, 7)
+    assert w[0, 0] == 24 and w[0, 1] == -15
+    assert (w == np.where(np.asarray(ref_instance.a) == 1, 24, -15)).all()
 
 
 # ---------------------------------------------------------------- parts
@@ -133,40 +130,41 @@ def random_prefix(rng, m, c_max):
     return labels
 
 
-def bound_at(weights, labels):
+def cell_sums(w, labels):
+    """Weight column sums of the cells that 0-based machine labels form."""
+    k = max(labels, default=-1) + 1
+    sums = np.zeros((k, w.shape[1]), dtype=np.int64)
+    for i, lab in enumerate(labels):
+        sums[lab] += w[i]
+    return sums
+
+
+def bound_at(w, const, labels):
     """prefix_bound on the cell sums and future weight of a prefix, the way
     the search keeps them."""
-    k = max(labels, default=-1) + 1
-    sums = np.zeros((k, weights.w.shape[1]), dtype=np.int64)
-    for i, lab in enumerate(labels):
-        sums[lab] += weights.w[i]
-    future = int(np.maximum(weights.w[len(labels):], 0).sum())
-    return prefix_bound(sums, future, weights.constant)
+    future = int(np.maximum(w[len(labels):], 0).sum())
+    return prefix_bound(cell_sums(w, labels), future, const)
 
 
-def best_completion(inst, weights, prefix, no_res):
+def completions(prefix, m, c_max):
+    """Each completion of a restricted-growth prefix to m machines, once:
+    a machine opens a new cell only as top + 1, and below label c_max."""
+    if len(prefix) == m:
+        yield prefix
+        return
+    for lab in range(min(max(prefix, default=-1) + 2, c_max)):
+        yield from completions(prefix + [lab], m, c_max)
+
+
+def best_completion(inst, w, const, prefix, no_res):
     """Brute-force the best leaf F under any completion of the prefix."""
-    unassigned = range(len(prefix), inst.m)
-    top = max(prefix, default=-1)
     c_max = min(inst.m, inst.p + (0 if no_res else 1))
     best = None
-    for combo in itertools.product(range(min(top + 1 + len(unassigned), c_max)),
-                                   repeat=len(unassigned)):
-        mcell = dict(enumerate(prefix))
-        mcell.update(zip(unassigned, combo))
-        k = max(mcell.values()) + 1
-        if no_res and k > inst.p:
-            continue
-        S = np.zeros((k, inst.p), dtype=np.int64)
-        for i, lab in mcell.items():
-            S[lab] += weights.w[i]
-        if no_res and not all(any(mcell[i] == c for i in mcell) for c in range(k)):
-            continue  # empty cell index, same partition appears elsewhere
-        try:
-            _, total = optimal_parts(S, no_res)
-        except ValueError:
-            continue
-        F = total - weights.constant
+    for labels in completions(list(prefix), inst.m, c_max):
+        if no_res and max(labels) + 1 > inst.p:
+            continue  # the prefix already has more cells than parts
+        _, total = optimal_parts(cell_sums(w, labels), no_res)
+        F = total - const
         if best is None or F > best:
             best = F
     return best
@@ -180,37 +178,40 @@ def test_node_bound_admissible_on_random_nodes():
         p = rng.randrange(2, 8)
         inst = random_instance(rng, m, p, rng.choice((0.2, 0.5, 0.8)))
         lam = rng.choice(LAMBDAS)
-        weights = make_weights(inst, lam)
+        w = make_weights(inst, lam)
+        const = lam.num * inst.n1
         prefix = random_prefix(rng, m, min(m, p + 1))
-        bound = bound_at(weights, prefix)
+        bound = bound_at(w, const, prefix)
         for no_res in (False, True):
-            best = best_completion(inst, weights, prefix, no_res)
+            best = best_completion(inst, w, const, prefix, no_res)
             if best is not None:
                 assert bound >= best, (inst.a, lam, prefix, no_res)
         checked += 1
 
 
 def test_node_bound_anchors(ref_instance):
-    weights = make_weights(ref_instance, Ratio(15, 24))
-    assert bound_at(weights, []) == int(weights.pos_col_sums.sum()) - 300
+    w = make_weights(ref_instance, Ratio(15, 24))
+    assert bound_at(w, 300, []) == int(np.maximum(w, 0).sum()) - 300
 
     # lambda = 0: every operation is coverable, bound = q * n1 at the root
     w0 = make_weights(ref_instance, Ratio(0, 1))
-    assert bound_at(w0, []) == 20
+    assert bound_at(w0, 0, []) == 20
 
     # at full depth the bound collapses to the allow-residual part optimum
-    _, total = best_part_assignment(weights, [1, 2, 2, 1, 2], Regime.ALLOW_RESIDUAL)
-    assert bound_at(weights, [0, 1, 1, 0, 1]) == total - weights.constant
+    _, total = optimal_parts(cell_sums(w, [0, 1, 1, 0, 1]), False)
+    assert bound_at(w, 300, [0, 1, 1, 0, 1]) == total - 300
 
 
-def test_best_part_assignment_two_cell(ref_instance, two_cell):
-    weights = make_weights(ref_instance, Ratio(15, 24))
-    labels, total = best_part_assignment(weights, [1, 2, 2, 1, 2], Regime.NO_RESIDUAL)
+def test_optimal_parts_two_cell(ref_instance, two_cell):
+    w = make_weights(ref_instance, Ratio(15, 24))
+    labels, total = optimal_parts(cell_sums(w, [0, 1, 1, 0, 1]), True)
     assert len(labels) == 7
-    n1_in, n0_in = efficacy_counts(ref_instance, [1, 2, 2, 1, 2], labels)
+    n1_in, n0_in = efficacy_counts(ref_instance, [1, 2, 2, 1, 2],
+                                   labels.tolist())
     assert 24 * n1_in - 15 * n0_in == total
     # the stored two-cell grouping is exactly this part-optimal labeling
-    assert total - weights.constant == 24 * 15 - 15 * (4 + 20)
+    assert total - 15 * 20 == 24 * 15 - 15 * (4 + 20)
+    assert labels.tolist() == two_cell.part_cell
 
 
 # ---------------------------------------------------------------- search

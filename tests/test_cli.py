@@ -121,6 +121,12 @@ def test_solve_time_limit_zero_reports_timelimit(inst_file, capsys):
     assert out.startswith("status=TimeLimit ")
 
 
+def test_solve_node_limit_reports_nodelimit(inst_file, capsys):
+    assert main(["solve", str(inst_file), "--node-limit", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("status=NodeLimit ")
+
+
 # ---------------------------------------------------------------- oracle
 
 
@@ -266,6 +272,8 @@ def test_usage_errors_exit_2():
     ["solve", "{f}", "--heuristic-time", "-1"],
     ["bench", "{f}", "--time-limit", "-1"],
     ["bench", "{f}", "--heuristic-time", "-1"],
+    ["solve", "{f}", "--restarts", "0"],
+    ["bench", "{f}", "--restarts", "-3"],
 ])
 def test_bad_budgets_are_usage_errors(inst_file, argv, capsys):
     with pytest.raises(SystemExit) as err:

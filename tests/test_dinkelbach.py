@@ -113,7 +113,7 @@ def test_zero_budget_times_out(ref_instance):
 def test_node_budget_downgrades_status(ref_instance, two_cell):
     out = solve(ref_instance, Regime.NO_RESIDUAL, seed_solution=two_cell,
                 node_limit=2)
-    assert out.status is SolveStatus.TIME_LIMIT
+    assert out.status is SolveStatus.NODE_LIMIT
     # the seed is never lost, whatever the budget
     assert out.solution.efficacy >= Ratio(15, 24)
 
@@ -143,6 +143,7 @@ def test_custom_subsolver_is_used(ref_instance):
 def test_status_strings():
     assert SolveStatus.OPTIMAL.value == "Optimal"
     assert SolveStatus.TIME_LIMIT.value == "TimeLimit"
+    assert SolveStatus.NODE_LIMIT.value == "NodeLimit"
     assert SolveStatus.INFEASIBLE.value == "Infeasible"
 
 

@@ -21,18 +21,22 @@ def test_config_validates_restarts():
 
 
 def test_fit_parts_is_part_optimal():
-    # for a fixed machine grouping no part labeling beats the fixpoint
+    # for a fixed machine grouping no part labeling beats the fixpoint;
+    # under allow-residual some machines are residual and join no cell
     rng = random.Random(13)
     for _ in range(40):
         inst = random_instance(rng, rng.randrange(2, 6), rng.randrange(2, 5), 0.5)
         for regime in Regime:
             k = rng.randrange(1, min(inst.m, inst.p) + 1)
-            mc = [rng.randrange(1, k + 1) for _ in range(inst.m)]
+            low = 0 if regime is Regime.ALLOW_RESIDUAL else 1
+            mc = [rng.randrange(low, k + 1) for _ in range(inst.m)]
             mc[:k] = range(1, k + 1)  # every cell nonempty
             sol = fit_parts(inst, mc, regime)
             ok, problems = check_feasible(inst, sol, regime)
             assert ok, problems
+            stored = (sol.n1_in, sol.n0_in, sol.efficacy)
             got = frac(efficacy(inst, sol))
+            assert (sol.n1_in, sol.n0_in, sol.efficacy) == stored
             best = Fraction(0)
             for pc in part_vectors(k, inst.p, regime):
                 n1_in, n0_in = pair_counts(inst, mc, pc)
