@@ -19,7 +19,7 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dinkelbach import SolveStatus, solve
+from .dinkelbach import SolveStatus, remaining, seed_budget, solve
 from .heuristic import SearchConfig, heuristic_solve
 from .instances import load_instance
 from .rational import Ratio, parse_ratio
@@ -100,12 +100,11 @@ def run_entry(entry: ManifestEntry, time_limit: float | None,
                         "-", "-", "Error", 0, 0, 0, error=str(exc))
     t0 = time.monotonic()
     seed = heuristic_solve(inst, SearchConfig(
-        regime=entry.regime, restarts=restarts, time_budget=heuristic_time,
+        regime=entry.regime, restarts=restarts,
+        time_budget=seed_budget(time_limit, heuristic_time),
         rng_seed=_instance_seed(entry.name)))
-    budget = None
-    if time_limit is not None:
-        budget = max(0.0, time_limit - (time.monotonic() - t0))
-    out = solve(inst, entry.regime, seed_solution=seed, time_limit=budget)
+    out = solve(inst, entry.regime, seed_solution=seed,
+                time_limit=remaining(time_limit, t0))
     achieved = out.solution.efficacy
     match = "yes" if achieved.to_4dp() == entry.expected.to_4dp() else "no"
     return BenchRow(

@@ -10,10 +10,15 @@ fixed each part independently takes the cell with the best weight-column
 sum, or residual when the regime allows it (optimal_parts, which the
 heuristic's part placement calls too). The search therefore only branches on
 machine partitions, encoded as restricted-growth strings with machines
-ordered densest-first, and bounds each prefix by letting every part pick its
-best existing cell while every unassigned machine contributes all of its
-positive weights (prefix_bound). The search is a single depth-first loop
-over an explicit label stack in plain Python and numpy.
+ordered densest-first. A child's bound lets every part pick its best cell
+while every unassigned machine contributes all of its positive weights;
+child_bounds scores all children of a node (the machine joins each open
+cell, or opens a new one) in one numpy step when the search descends into
+the node, so its children are then visited with scalar compares only. A
+machine's row enters the cell sums only when the search descends through
+it; pruned children and leaves build their sums on demand. The search is a
+single depth-first loop over an explicit label stack in plain Python and
+numpy.
 """
 
 from __future__ import annotations
@@ -37,18 +42,33 @@ def make_weights(inst: Instance, lam: Ratio) -> np.ndarray:
     return lam.den * a - lam.num * (1 - a)
 
 
-def prefix_bound(cell_sums: np.ndarray, future: int, const: int) -> int:
-    """Optimistic value of the best completion of a partial assignment.
+def child_bounds(cell_sums: np.ndarray, row: np.ndarray, future: int,
+                 const: int, c_max: int) -> list[int]:
+    """Optimistic value of the best completion of each child of a node.
 
-    cell_sums (k x p, k >= 0) holds the weight column sums of the cells the
-    assigned machines form; future is the sum of the positive weights of the
-    unassigned machines. Each part takes max(best existing cell column sum,
+    cell_sums (k x p, k >= 0) holds the weight column sums of the node's k
+    open cells, row the weights of the machine it branches on and future
+    the sum of the positive weights of the machines after that one. Child
+    c < k puts the machine in cell c; child k, present when k < c_max,
+    opens a new cell. In a child each part takes max(best cell column sum,
     0) - it may also open a fresh cell or go residual, both worth at least
-    0 - and every unassigned machine contributes all of its positive
-    weights. Admissible for both regimes (the no-residual feasible set is a
-    subset of allow-residual's).
+    0 - and every later machine contributes all of its positive weights.
+    Admissible for both regimes (the no-residual feasible set is a subset
+    of allow-residual's).
+
+    A child changes one cell, so its best other cell in a column is the
+    column's second best where that cell holds the best, else the best.
+    The new cell is scored as a zero row of the parent plus the machine.
     """
-    return int(cell_sums.max(axis=0, initial=0).sum()) + future - const
+    k, p = cell_sums.shape
+    if k < c_max:
+        cell_sums = np.concatenate((cell_sums, np.zeros((1, p), np.int64)))
+    if len(cell_sums) == 1:
+        return [int(np.maximum(cell_sums[0] + row, 0).sum()) + future - const]
+    second, best = np.maximum(np.sort(cell_sums, axis=0)[-2:], 0)
+    other = np.where(cell_sums == best, second, best)
+    return (np.maximum(cell_sums + row, other).sum(axis=1)
+            + (future - const)).tolist()
 
 
 def optimal_parts(S: np.ndarray, no_residual: bool) -> tuple[np.ndarray, int]:
@@ -222,49 +242,52 @@ def _search(a, w, order, c_max, no_res, const, void_cap, best_F0,
     wo = w[order]
     zo = 1 - a[order]
     pos_row = np.maximum(wo, 0).sum(axis=1)
-    suffix = np.zeros(m + 1, dtype=np.int64)
+    suffix = [0] * (m + 1)  # positive weight of the machines from depth d on
     for d in range(m - 1, -1, -1):
-        suffix[d] = suffix[d + 1] + pos_row[d]
+        suffix[d] = suffix[d + 1] + int(pos_row[d])
+    voids = no_res and void_cap >= 0
 
+    # cells the search has descended through; rows past the open ones are 0
     cell_sums = np.zeros((c_max, p), dtype=np.int64)
     cell_zero = np.zeros((c_max, p), dtype=np.int64)
-    cell_count = np.zeros(c_max, dtype=np.int64)
-    trying = np.full(m, -1, dtype=np.int64)
+    # per depth: the label tried, the node's open cells, its child bounds
+    trying = [-1] * m
+    opened = [0] * m
+    bounds = [None] * m
 
     best_F = best_F0
     best_m = best_p = None
-    stats = SubproblemStats()
+    nodes = leaves = pruned_bound = pruned_void = max_depth = max_cells = 0
     truncated = False
-    k = 0
     d = 0
     tick = 0
 
     while d >= 0:
-        prev = trying[d]
-        if prev >= 0:
-            cell_sums[prev] -= wo[d]
-            cell_zero[prev] -= zo[d]
-            cell_count[prev] -= 1
-            if cell_count[prev] == 0:
-                k -= 1
-        nxt = prev + 1
-        if nxt >= min(k + 1, c_max):
+        k = opened[d]
+        c = trying[d] + 1
+        if c >= min(k + 1, c_max):
             trying[d] = -1
             d -= 1
+            if d >= 0:  # leave the parent's cell the way it was
+                c = trying[d]
+                cell_sums[c] -= wo[d]
+                if voids:
+                    cell_zero[c] -= zo[d]
             continue
-        trying[d] = nxt
-        cell_sums[nxt] += wo[d]
-        cell_zero[nxt] += zo[d]
-        cell_count[nxt] += 1
-        if cell_count[nxt] == 1:
-            k += 1
+        if c == 0 and prune:  # entering the node: score all its children
+            bounds[d] = child_bounds(cell_sums[:k], wo[d], suffix[d + 1],
+                                     const, c_max)
+        trying[d] = c
+        kc = k + 1 if c == k else k
 
         depth = d + 1
-        stats.nodes += 1
-        stats.max_depth = max(stats.max_depth, depth)
-        stats.max_cells = max(stats.max_cells, k)
+        nodes += 1
+        if depth > max_depth:
+            max_depth = depth
+        if kc > max_cells:
+            max_cells = kc
 
-        if node_limit is not None and stats.nodes >= node_limit:
+        if node_limit is not None and nodes >= node_limit:
             truncated = True
             break
         tick += 1
@@ -275,22 +298,26 @@ def _search(a, w, order, c_max, no_res, const, void_cap, best_F0,
                 break
 
         if prune:
-            if prefix_bound(cell_sums[:k], int(suffix[depth]), const) <= best_F:
-                stats.pruned_bound += 1
+            if bounds[d][c] <= best_F:
+                pruned_bound += 1
                 continue
             # Void prune: only while best_F >= 0, where it cannot cut any
             # solution with F >= 0 (their void counts obey the cap).
-            if void_cap >= 0 and no_res and best_F >= 0:
-                lb = int(cell_zero[:k].min(axis=1).sum())
-                if k == c_max:
-                    lb = max(lb, int(cell_zero[:k].min(axis=0).sum()))
+            if voids and best_F >= 0:
+                z = cell_zero[:kc].copy()
+                z[c] += zo[d]
+                lb = int(z.min(axis=1).sum())
+                if kc == c_max:
+                    lb = max(lb, int(z.min(axis=0).sum()))
                 if lb > void_cap:
-                    stats.pruned_void += 1
+                    pruned_void += 1
                     continue
 
         if depth == m:
-            stats.leaves += 1
-            plabels, total = optimal_parts(cell_sums[:k], no_res)
+            leaves += 1
+            sums = cell_sums[:kc].copy()
+            sums[c] += wo[d]
+            plabels, total = optimal_parts(sums, no_res)
             F = total - const
             if F > best_F:
                 best_F = F
@@ -299,6 +326,13 @@ def _search(a, w, order, c_max, no_res, const, void_cap, best_F0,
                     best_m[order[t]] = trying[t] + 1
                 best_p = plabels.copy()
             continue
-        d += 1
 
+        cell_sums[c] += wo[d]
+        if voids:
+            cell_zero[c] += zo[d]
+        d = depth
+        opened[d] = kc
+
+    stats = SubproblemStats(nodes, leaves, pruned_bound, pruned_void,
+                            max_depth, max_cells)
     return best_F, best_m, best_p, stats, truncated

@@ -9,11 +9,12 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import time
 from pathlib import Path
 
 from . import bench as benchmod
 from .bnb import SubproblemResult, SubproblemStats
-from .dinkelbach import solve as dinkelbach_solve
+from .dinkelbach import remaining, seed_budget, solve as dinkelbach_solve
 from .heuristic import SearchConfig, heuristic_solve
 from .instances import FormatError, load_instance, validate_instance
 from .model import (build_model, decode, export_lp, objective_value,
@@ -54,7 +55,9 @@ def _regime(args) -> Regime:
 
 def _heuristic_cfg(args, regime: Regime) -> SearchConfig:
     return SearchConfig(regime=regime, restarts=args.restarts,
-                        time_budget=args.heuristic_time, rng_seed=args.seed)
+                        time_budget=seed_budget(args.time_limit,
+                                                args.heuristic_time),
+                        rng_seed=args.seed)
 
 
 def cmd_validate(args) -> int:
@@ -145,6 +148,7 @@ def _lp_subsolver(lp_dir: Path, stem: str):
 
 def cmd_solve(args) -> int:
     inst = load_instance(args.instance)
+    t0 = time.monotonic()  # --time-limit covers the seed and the proof
     regime = _regime(args)
     out_path = Path(args.output) if args.output else \
         Path(args.instance).with_suffix(".sol")
@@ -166,7 +170,8 @@ def cmd_solve(args) -> int:
 
     out = dinkelbach_solve(
         inst, regime, seed_lambda=seed_lambda, seed_solution=seed_solution,
-        subsolver=subsolver, time_limit=args.time_limit,
+        subsolver=subsolver,
+        time_limit=remaining(args.time_limit, t0),
         node_limit=args.node_limit)
 
     out_path.write_text(write_solution(out.solution))
@@ -250,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-lambda", default="heuristic",
                    help="starting ratio: 'heuristic', 'zero', a rational "
                         "like 15/24, or a decimal like 0.6957")
-    p.add_argument("--time-limit", type=seconds, default=None, metavar="SEC")
+    p.add_argument("--time-limit", type=seconds, default=None, metavar="SEC",
+                   help="total budget, heuristic seed included")
     p.add_argument("--node-limit", type=count, default=None, metavar="N")
     p.add_argument("--backend", choices=("internal", "lp-export"),
                    default="internal",
@@ -278,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a benchmark manifest")
     p.add_argument("manifest")
     p.add_argument("--time-limit", type=seconds, default=60.0, metavar="SEC",
-                   help="per-instance budget including seeding (default 60)")
+                   help="per-instance budget, heuristic seed included "
+                        "(default 60)")
     p.add_argument("--heuristic-time", type=seconds, default=None,
                    metavar="SEC")
     p.add_argument("--restarts", type=count, default=8)

@@ -47,6 +47,8 @@ class IterationRecord:
     F: int
     nodes: int
     time_ms: int
+    leaves: int
+    pruned: int  # nodes cut by the bound or the void cap
 
 
 @dataclass
@@ -104,6 +106,22 @@ def raw_ratio(inst: Instance, sol: Solution) -> Ratio:
     return Ratio(sol.n1_in, den)
 
 
+def seed_budget(time_limit: float | None,
+                heuristic_time: float | None) -> float | None:
+    """The heuristic seed's share of a solve's total time_limit: the
+    earlier of its own limit and the total (None = unlimited)."""
+    return min((t for t in (time_limit, heuristic_time) if t is not None),
+               default=None)
+
+
+def remaining(time_limit: float | None, t0: float) -> float | None:
+    """What is left now of a time_limit that started at monotonic time t0
+    (None = unlimited); the exact rounds get this after the seed."""
+    if time_limit is None:
+        return None
+    return max(0.0, time_limit - (time.monotonic() - t0))
+
+
 def solve(
     inst: Instance,
     regime: Regime,
@@ -127,7 +145,6 @@ def solve(
     node_limit).
     """
     t0 = time.monotonic()
-    deadline = t0 + time_limit if time_limit is not None else None
     if subsolver is None:
         subsolver = solve_subproblem
 
@@ -146,22 +163,25 @@ def solve(
     rounds = 0
 
     while rounds < _MAX_ROUNDS:
-        remaining = None
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
+        left = remaining(time_limit, t0)
+        if left is not None and left <= 0:
+            break
         rounds += 1
         it_t0 = time.monotonic()
         res = subsolver(inst, lam, regime,
                         0 if incumbent is not None else None,
-                        remaining, node_limit)
-        it_ms = int(round((time.monotonic() - it_t0) * 1000))
-        total_nodes += res.stats.nodes
+                        left, node_limit)
+        it_s = time.monotonic() - it_t0
+        st = res.stats
+        total_nodes += st.nodes
         F = res.best_F if res.best_F is not None else 0
-        history.append(IterationRecord(rounds, lam, F, res.stats.nodes, it_ms))
-        log.info("iter=%d lambda=%s F=%d nodes=%d time_ms=%d",
-                 rounds, lam, F, res.stats.nodes, it_ms)
+        rec = IterationRecord(rounds, lam, F, st.nodes, int(round(it_s * 1000)),
+                              st.leaves, st.pruned_bound + st.pruned_void)
+        history.append(rec)
+        log.info("iter=%d lambda=%s F=%d nodes=%d leaves=%d pruned=%d "
+                 "nodes_per_s=%d time_ms=%d", rounds, lam, F, rec.nodes,
+                 rec.leaves, rec.pruned, rec.nodes / it_s if it_s > 0 else 0,
+                 rec.time_ms)
 
         if res.solution is not None:
             incumbent = res.solution

@@ -9,7 +9,8 @@ under exact rational comparison, so every climb terminates; restarts
 supply the diversification.
 
 Determinism: the same rng_seed gives the same answer as long as the time
-budget does not cut a run short.
+budget does not cut a run short. The budget is polled before every
+candidate move, so a climb overruns it by about one candidate.
 """
 
 from __future__ import annotations
@@ -127,10 +128,12 @@ def _climb(inst: Instance, machine_cell: list[int], regime: Regime,
            deadline: float | None) -> Solution:
     a = inst.matrix
     cap = label_cap(inst, regime)
+
+    def expired() -> bool:
+        return deadline is not None and time.monotonic() > deadline
+
     sol = fit_parts(inst, machine_cell, regime)
     while True:
-        if deadline is not None and time.monotonic() > deadline:
-            return sol
         k = max(sol.machine_cell)
         improved = None
 
@@ -141,6 +144,8 @@ def _climb(inst: Instance, machine_cell: list[int], regime: Regime,
             for dst in range(1, top + 1):
                 if dst == src:
                     continue
+                if expired():
+                    return sol
                 cells = list(sol.machine_cell)
                 cells[i] = dst
                 cells = renumber(cells)
@@ -156,6 +161,8 @@ def _climb(inst: Instance, machine_cell: list[int], regime: Regime,
         if improved is None and k >= 2:  # merge two cells
             for c in range(1, k + 1):
                 for d in range(c + 1, k + 1):
+                    if expired():
+                        return sol
                     cells = [c if v == d else v for v in sol.machine_cell]
                     cand = fit_parts(inst, renumber(cells), regime,
                                      sol.efficacy)
@@ -172,6 +179,8 @@ def _climb(inst: Instance, machine_cell: list[int], regime: Regime,
                 rows = [i for i, v in enumerate(sol.machine_cell) if v == c]
                 best_cand = None
                 for _left, right in _split_candidates(rows, a):
+                    if expired():
+                        return sol
                     cells = list(sol.machine_cell)
                     for r in right:
                         cells[r] = k + 1

@@ -80,3 +80,22 @@ def naive_best(inst, regime) -> Fraction:
             if val > best:
                 best = val
     return best
+
+
+def planted_instance(seed: int, m: int, p: int, k: int, p_in: float,
+                     p_out: float) -> tuple[Instance, list[int]]:
+    """Machines and parts dealt round-robin into k blocks and shuffled; a
+    cell is 1 with probability p_in inside its block, p_out outside it.
+    Returns the instance and the planted 1-based machine grouping."""
+    rng = random.Random(seed)
+    machine_block = [i % k for i in range(m)]
+    part_block = [j % k for j in range(p)]
+    rng.shuffle(machine_block)
+    rng.shuffle(part_block)
+    a = tuple(
+        tuple(1 if rng.random() < (p_in if machine_block[i] == part_block[j]
+                                   else p_out) else 0
+              for j in range(p))
+        for i in range(m))
+    return (Instance(f"planted-{m}x{p}-k{k}-s{seed}", m, p, a),
+            [b + 1 for b in machine_block])

@@ -6,17 +6,18 @@ import pytest
 
 from cellform.bnb import (
     _min_loss_cover,
+    child_bounds,
     label_cap,
     make_weights,
     optimal_parts,
-    prefix_bound,
     solve_subproblem,
 )
 from cellform.instances import Instance
-from cellform.rational import Ratio
+from cellform.rational import Ratio, parse_ratio
 from cellform.solutions import Regime, check_feasible, efficacy_counts
 
-from helpers import machine_partitions, pair_counts, part_vectors, random_instance
+from helpers import (machine_partitions, pair_counts, part_vectors,
+                     planted_instance, random_instance)
 
 # the engine name each result reports in SubproblemStats.engine
 ENGINES = ["python"]
@@ -139,11 +140,22 @@ def cell_sums(w, labels):
     return sums
 
 
-def bound_at(w, const, labels):
-    """prefix_bound on the cell sums and future weight of a prefix, the way
-    the search keeps them."""
+def bound_at(w, const, labels, c_max):
+    """The search's bound of a prefix: the child_bounds entry of its last
+    label, computed at the parent prefix. The empty prefix takes the bound
+    of machine 0 in cell 0, which every completion starts with."""
+    labels = labels or [0]
+    parent = labels[:-1]
     future = int(np.maximum(w[len(labels):], 0).sum())
-    return prefix_bound(cell_sums(w, labels), future, const)
+    bounds = child_bounds(cell_sums(w, parent), w[len(parent)], future,
+                          const, c_max)
+    return bounds[labels[-1]]
+
+
+def scratch_bound(sums, future, const):
+    """The bound from scratch: each part takes max(best cell column sum,
+    0), every unassigned machine adds all of its positive weights."""
+    return int(sums.max(axis=0, initial=0).sum()) + future - const
 
 
 def completions(prefix, m, c_max):
@@ -180,8 +192,9 @@ def test_node_bound_admissible_on_random_nodes():
         lam = rng.choice(LAMBDAS)
         w = make_weights(inst, lam)
         const = lam.num * inst.n1
-        prefix = random_prefix(rng, m, min(m, p + 1))
-        bound = bound_at(w, const, prefix)
+        c_max = min(m, p + 1)
+        prefix = random_prefix(rng, m, c_max)
+        bound = bound_at(w, const, prefix, c_max)
         for no_res in (False, True):
             best = best_completion(inst, w, const, prefix, no_res)
             if best is not None:
@@ -189,17 +202,46 @@ def test_node_bound_admissible_on_random_nodes():
         checked += 1
 
 
-def test_node_bound_anchors(ref_instance):
-    w = make_weights(ref_instance, Ratio(15, 24))
-    assert bound_at(w, 300, []) == int(np.maximum(w, 0).sum()) - 300
+def test_child_bounds_equal_the_scratch_bound():
+    # every child of random nodes, with small values so that columns tie
+    rng = random.Random(43)
+    seen = {"k=0": 0, "k=1": 0, "tie": 0, "k=c_max": 0}
+    for _ in range(2000):
+        k = rng.randrange(0, 5)
+        p = rng.randrange(1, 7)
+        c_max = rng.randrange(max(k, 1), k + 3)
+        sums = np.array([[rng.randrange(-3, 4) for _ in range(p)]
+                         for _ in range(k)], dtype=np.int64).reshape(k, p)
+        row = np.array([rng.randrange(-3, 4) for _ in range(p)], dtype=np.int64)
+        future, const = rng.randrange(0, 20), rng.randrange(0, 20)
+        got = child_bounds(sums, row, future, const, c_max)
+        assert len(got) == min(k + 1, c_max)
+        for c, bound in enumerate(got):
+            child = np.vstack([sums, np.zeros((1, p), dtype=np.int64)])
+            child = child[:max(k, c + 1)]  # the new cell only for c == k
+            child[c] += row
+            assert bound == scratch_bound(child, future, const), (sums, row, c)
+        seen["k=0"] += k == 0
+        seen["k=1"] += k == 1
+        seen["k=c_max"] += k == c_max
+        if k >= 2:
+            top = np.sort(sums, axis=0)
+            seen["tie"] += bool((top[-1] == top[-2]).any())
+    assert min(seen.values()) >= 100, seen
 
-    # lambda = 0: every operation is coverable, bound = q * n1 at the root
+
+def test_node_bound_anchors(ref_instance):
+    # at depth 1 the bound is the root's: machine 0 keeps its positive weights
+    w = make_weights(ref_instance, Ratio(15, 24))
+    assert bound_at(w, 300, [0], 5) == int(np.maximum(w, 0).sum()) - 300
+
+    # lambda = 0: every operation is coverable, bound = q * n1 at depth 1
     w0 = make_weights(ref_instance, Ratio(0, 1))
-    assert bound_at(w0, 0, []) == 20
+    assert bound_at(w0, 0, [0], 5) == 20
 
     # at full depth the bound collapses to the allow-residual part optimum
     _, total = optimal_parts(cell_sums(w, [0, 1, 1, 0, 1]), False)
-    assert bound_at(w, 300, [0, 1, 1, 0, 1]) == total - 300
+    assert bound_at(w, 300, [0, 1, 1, 0, 1], 5) == total - 300
 
 
 def test_optimal_parts_two_cell(ref_instance, two_cell):
@@ -283,6 +325,42 @@ def test_reference_instance_anchor(ref_instance):
     # at the optimum the max is exactly zero
     res = solve_subproblem(ref_instance, Ratio(16, 23), Regime.NO_RESIDUAL)
     assert res.best_F == 0
+
+
+# (generator args, regime, lambda, (nodes, leaves, pruned_bound, pruned_void,
+# max_depth, max_cells)) with the incumbent baseline at 0; each instance at
+# the ratio of its planted grouping and at its optimum
+PINNED_COUNTS = [
+    ((1, 8, 10, 3, .7, .15), "no-residual", "17/32", (157, 11, 105, 0, 8, 6)),
+    ((1, 8, 10, 3, .7, .15), "no-residual", "16/24", (76, 0, 56, 0, 8, 6)),
+    ((1, 8, 10, 3, .7, .15), "allow-residual", "15/28", (131, 5, 91, 0, 8, 6)),
+    ((1, 8, 10, 3, .7, .15), "allow-residual", "16/24", (76, 0, 56, 0, 8, 6)),
+    ((2, 9, 12, 3, .7, .15), "no-residual", "22/43", (930, 12, 695, 0, 9, 6)),
+    ((2, 9, 12, 3, .7, .15), "no-residual", "23/35", (292, 2, 223, 0, 9, 6)),
+    ((2, 9, 12, 3, .7, .15), "allow-residual", "16/31", (705, 5, 530, 0, 9, 6)),
+    ((2, 9, 12, 3, .7, .15), "allow-residual", "22/33", (228, 0, 174, 0, 9, 6)),
+    ((3, 10, 12, 4, .7, .12), "no-residual", "21/37", (1615, 25, 1234, 0, 10, 7)),
+    ((3, 10, 12, 4, .7, .12), "no-residual", "20/32", (835, 2, 645, 0, 10, 7)),
+    ((3, 10, 12, 4, .7, .12), "allow-residual", "21/35", (900, 4, 687, 0, 10, 7)),
+    ((3, 10, 12, 4, .7, .12), "allow-residual", "20/31", (584, 0, 447, 0, 10, 6)),
+    ((4, 10, 14, 4, .65, .15), "no-residual", "27/50", (3154, 11, 2478, 0, 10, 7)),
+    ((4, 10, 14, 4, .65, .15), "no-residual", "24/41", (1921, 0, 1508, 0, 10, 7)),
+    ((4, 10, 14, 4, .65, .15), "allow-residual", "26/48", (3124, 8, 2457, 0, 10, 7)),
+    ((4, 10, 14, 4, .65, .15), "allow-residual", "24/41", (1921, 0, 1508, 0, 10, 7)),
+]
+
+
+def test_node_counts_are_pinned():
+    # node counts are the machine-independent cost of the search: a change
+    # to the bound or the branching order must update this table knowingly
+    for gen, regime, lam, want in PINNED_COUNTS:
+        inst, _ = planted_instance(*gen)
+        res = solve_subproblem(inst, parse_ratio(lam), Regime(regime),
+                               incumbent_F=0)
+        st = res.stats
+        got = (st.nodes, st.leaves, st.pruned_bound, st.pruned_void,
+               st.max_depth, st.max_cells)
+        assert got == want, (gen, regime, lam)
 
 
 def test_incumbent_baseline_suppresses_equal_solutions(ref_instance):

@@ -3,6 +3,7 @@ import logging
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,10 @@ from cellform.dinkelbach import raw_ratio
 from cellform.instances import load_instance, write_instance
 from cellform.model import encode
 from cellform.rational import Ratio
-from cellform.solutions import (Regime, parse_solution, write_solution)
+from cellform.solutions import (Regime, check_feasible, parse_solution,
+                                write_solution)
+
+from helpers import planted_instance
 
 
 @pytest.fixture
@@ -125,6 +129,35 @@ def test_solve_node_limit_reports_nodelimit(inst_file, capsys):
     assert main(["solve", str(inst_file), "--node-limit", "1"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("status=NodeLimit ")
+
+
+@pytest.fixture
+def big_file(tmp_path):
+    """A planted 24x40 instance whose unbudgeted heuristic seed alone takes
+    several seconds."""
+    inst, _ = planted_instance(3, 24, 40, 7, .75, .08)
+    f = tmp_path / "big.cfp"
+    f.write_text(write_instance(inst))
+    return f
+
+
+def test_solve_time_limit_covers_the_seed(big_file, capsys):
+    t0 = time.monotonic()
+    assert main(["solve", str(big_file), "--time-limit", "1"]) == 0
+    assert time.monotonic() - t0 < 3
+    assert capsys.readouterr().out.startswith("status=TimeLimit ")
+    inst = load_instance(big_file)
+    sol = parse_solution(big_file.with_suffix(".sol").read_text(), inst)
+    assert check_feasible(inst, sol, Regime.NO_RESIDUAL)[0]
+
+
+def test_bench_time_limit_covers_the_seed(big_file, tmp_path, capsys):
+    man = tmp_path / "big.csv"
+    man.write_text("path,regime,expected\nbig.cfp,no-residual,1/2\n")
+    t0 = time.monotonic()
+    assert main(["bench", str(man), "--time-limit", "1"]) == 0
+    assert time.monotonic() - t0 < 3
+    assert " TimeLimit " in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------- oracle

@@ -1,5 +1,6 @@
 import logging
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from cellform.bnb import solve_subproblem
 from cellform.dinkelbach import (
     SolveStatus,
     raw_ratio,
+    remaining,
+    seed_budget,
     seed_from,
     solve,
     trivial_solution,
@@ -110,6 +113,19 @@ def test_zero_budget_times_out(ref_instance):
     assert out.solution.efficacy == Ratio(20, 35)
 
 
+def test_budget_split_between_seed_and_proof():
+    # the seed stops at the earlier of its own limit and the total
+    assert seed_budget(None, None) is None
+    assert seed_budget(5.0, None) == 5.0
+    assert seed_budget(None, 2.0) == 2.0
+    assert seed_budget(5.0, 2.0) == 2.0
+    assert seed_budget(1.0, 2.0) == 1.0
+    # the proof gets what is left, never less than nothing
+    assert remaining(None, 0.0) is None
+    assert remaining(1.0, time.monotonic() - 5.0) == 0.0
+    assert 0.0 < remaining(60.0, time.monotonic()) <= 60.0
+
+
 def test_node_budget_downgrades_status(ref_instance, two_cell):
     out = solve(ref_instance, Regime.NO_RESIDUAL, seed_solution=two_cell,
                 node_limit=2)
@@ -149,7 +165,18 @@ def test_status_strings():
 
 def test_iteration_log_lines(ref_instance, two_cell, caplog):
     with caplog.at_level(logging.INFO, logger="cellform.dinkelbach"):
-        solve(ref_instance, Regime.NO_RESIDUAL, seed_solution=two_cell)
+        out = solve(ref_instance, Regime.NO_RESIDUAL, seed_solution=two_cell)
     lines = [r.getMessage() for r in caplog.records]
     assert any(l.startswith("iter=1 lambda=15/24 F=39 nodes=") for l in lines)
     assert any(l.startswith("iter=2 lambda=16/23 F=0 nodes=") for l in lines)
+    # the search counters of each round reach its record and its log line
+    for rec, line in zip(out.history, lines):
+        st = solve_subproblem(ref_instance, rec.lam, Regime.NO_RESIDUAL,
+                              incumbent_F=0).stats
+        assert (rec.nodes, rec.leaves, rec.pruned) == (
+            st.nodes, st.leaves, st.pruned_bound + st.pruned_void)
+        fields = dict(kv.split("=") for kv in line.split())
+        assert fields["leaves"] == str(rec.leaves)
+        assert fields["pruned"] == str(rec.pruned)
+        assert int(fields["nodes_per_s"]) >= 0
+    assert out.history[0].leaves > 0 and out.history[0].pruned > 0
