@@ -10,7 +10,7 @@ two-index 0-1 model with LP export supports external solvers.
 from .bnb import (SubproblemResult, SubproblemStats, label_cap, make_weights,
                   solve_subproblem)
 from .dinkelbach import (IterationRecord, SolveOutcome, SolveStatus,
-                         raw_ratio, seed_from, solve, trivial_solution)
+                         raw_ratio, solve, trivial_solution)
 from .heuristic import SearchConfig, fit_parts, heuristic_solve
 from .instances import (FormatError, Instance, ValidationReport,
                         load_instance, parse_instance, validate_instance,
@@ -37,7 +37,7 @@ __all__ = [
     "SubproblemResult", "SubproblemStats", "label_cap", "make_weights",
     "solve_subproblem",
     "SolveOutcome", "SolveStatus", "IterationRecord", "raw_ratio",
-    "seed_from", "solve", "trivial_solution",
+    "solve", "trivial_solution",
     "SearchConfig", "fit_parts", "heuristic_solve",
     "LinearModel", "ModelRow", "RelationAssignment", "DecodeError",
     "build_model", "decode", "encode", "export_lp", "objective_value",

@@ -25,6 +25,7 @@ from .instances import load_instance
 from .rational import Ratio, parse_ratio
 from .solutions import Regime
 
+# the BenchRow fields each output row shows, in order
 CSV_COLUMNS = ("name", "m", "p", "regime", "expected", "achieved", "match",
                "status", "iters", "nodes", "time_ms")
 
@@ -126,15 +127,13 @@ def failed(rows) -> bool:
                for r in rows)
 
 
+def _fields(r: BenchRow) -> list[str]:
+    return [str(getattr(r, col)) for col in CSV_COLUMNS]
+
+
 def format_text(rows) -> str:
-    header = ("name", "m", "p", "regime", "expected", "achieved", "match",
-              "status", "iters", "nodes", "time_ms")
-    table = [header]
-    for r in rows:
-        table.append((r.name, str(r.m), str(r.p), r.regime, r.expected,
-                      r.achieved, r.match, r.status, str(r.iters),
-                      str(r.nodes), str(r.time_ms)))
-    widths = [max(len(row[c]) for row in table) for c in range(len(header))]
+    table = [CSV_COLUMNS] + [_fields(r) for r in rows]
+    widths = [max(len(row[c]) for row in table) for c in range(len(CSV_COLUMNS))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
              for row in table]
     matches = sum(1 for r in rows if r.match == "yes")
@@ -151,7 +150,5 @@ def format_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in rows:
-        writer.writerow([r.name, r.m, r.p, r.regime, r.expected, r.achieved,
-                         r.match, r.status, r.iters, r.nodes, r.time_ms])
+    writer.writerows(_fields(r) for r in rows)
     return buf.getvalue()

@@ -267,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None,
                    help="solution file path (default: instance with .sol)")
     p.add_argument("--heuristic-time", type=seconds, default=None,
-                   metavar="SEC")
+                   metavar="SEC",
+                   help="heuristic seed budget (default: half of --time-limit)")
     p.add_argument("--restarts", type=count, default=8)
     p.add_argument("--seed", type=int, default=0,
                    help="heuristic rng seed")
@@ -287,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-instance budget, heuristic seed included "
                         "(default 60)")
     p.add_argument("--heuristic-time", type=seconds, default=None,
-                   metavar="SEC")
+                   metavar="SEC",
+                   help="heuristic seed budget (default: half of --time-limit)")
     p.add_argument("--restarts", type=count, default=8)
     p.add_argument("--csv", default=None, metavar="PATH",
                    help="also write results as CSV")

@@ -23,12 +23,13 @@ from enum import Enum
 
 from .bnb import solve_subproblem
 from .instances import Instance
-from .rational import Ratio, parse_ratio
+from .rational import Ratio
 from .solutions import Regime, Solution, canonicalize, efficacy
 
 log = logging.getLogger(__name__)
 
 _MAX_ROUNDS = 10_000  # safety valve; the ratio sequence is finite
+_SEED_SHARE = 0.5     # of time_limit, for a seed without a limit of its own
 
 
 class SolveStatus(str, Enum):
@@ -65,30 +66,6 @@ class SolveOutcome:
     def optimal(self) -> bool:
         return self.status is SolveStatus.OPTIMAL
 
-    @property
-    def subproblem_stats(self) -> list[int]:
-        """Nodes expanded per iteration."""
-        return [rec.nodes for rec in self.history]
-
-
-def seed_from(inst: Instance, regime: Regime, source,
-              heuristic_cfg=None) -> Ratio:
-    """Starting ratio from one of: "zero", "heuristic", a Ratio, or a
-    literature value given as a rational/decimal string (decimals become
-    over-10000 rationals, e.g. "0.6957" -> 6957/10000). The heuristic
-    source returns the incumbent's efficacy as the unreduced pair
-    n1_in / (n1 + n0_in)."""
-    if isinstance(source, Ratio):
-        return source
-    if source == "zero":
-        return Ratio(0, 1)
-    if source == "heuristic":
-        from .heuristic import SearchConfig, heuristic_solve
-
-        cfg = heuristic_cfg or SearchConfig(regime=regime)
-        return raw_ratio(inst, heuristic_solve(inst, cfg))
-    return parse_ratio(str(source))
-
 
 def trivial_solution(inst: Instance) -> Solution:
     """Everything in one cell. Feasible in both regimes."""
@@ -108,10 +85,15 @@ def raw_ratio(inst: Instance, sol: Solution) -> Ratio:
 
 def seed_budget(time_limit: float | None,
                 heuristic_time: float | None) -> float | None:
-    """The heuristic seed's share of a solve's total time_limit: the
-    earlier of its own limit and the total (None = unlimited)."""
-    return min((t for t in (time_limit, heuristic_time) if t is not None),
-               default=None)
+    """The heuristic seed's share of a solve's total time_limit (None =
+    unlimited): the earlier of heuristic_time and the total when
+    heuristic_time is set, else _SEED_SHARE of the total, so that a short
+    budget still leaves the exact rounds time to improve or prove the
+    seed."""
+    if heuristic_time is None:
+        return None if time_limit is None else _SEED_SHARE * time_limit
+    return heuristic_time if time_limit is None else min(heuristic_time,
+                                                         time_limit)
 
 
 def remaining(time_limit: float | None, t0: float) -> float | None:

@@ -3,10 +3,13 @@ parametric solver with a good starting ratio.
 
 Part placement is always kept optimal for the machine grouping at hand
 (the part side separates once machines are fixed), so the neighborhood
-effectively lives on machine partitions: relocate one machine, merge two
-cells, or split one cell in two. Acceptance is strict efficacy increase
-under exact rational comparison, so every climb terminates; restarts
-supply the diversification.
+effectively lives on machine partitions. One move stream (`_moves`)
+yields the neighbours in batches: relocating one machine and merging two
+cells are batches of one, and all two-partitions of one cell form one
+batch. The climb takes the best strictly improving grouping of the first
+batch that has one - first improvement for relocate and merge, the best
+split per cell - under exact rational comparison, so every climb
+terminates; restarts supply the diversification.
 
 Determinism: the same rng_seed gives the same answer as long as the time
 budget does not cut a run short. The budget is polled before every
@@ -88,24 +91,17 @@ def _counts(inst: Instance, machine_cell: list[int]) -> tuple[np.ndarray, np.nda
     return ones, zeros
 
 
-def _split_candidates(rows: list[int], a: np.ndarray
-                      ) -> list[tuple[list[int], list[int]]]:
-    """Two-partitions of a cell's machines: all of them for small cells,
-    else one pole-based split (the two most dissimilar rows seed the
-    halves, everyone else joins the nearer pole)."""
+def _split_candidates(rows: list[int], a: np.ndarray) -> list[list[int]]:
+    """Two-partitions of a cell's machines, each given by the half that
+    leaves the cell: all of them for small cells, else one pole-based
+    split (the two most dissimilar rows seed the halves, everyone else
+    joins the nearer pole)."""
     s = len(rows)
-    if s < 2:
-        return []
     if s <= _SPLIT_ENUM_MAX:
-        # mask < 2^(s-1) keeps the last row on the left, so each
-        # unordered split appears exactly once
-        out = []
-        for mask in range(1, 1 << (s - 1)):
-            left = [rows[t] for t in range(s) if not ((mask >> t) & 1)]
-            right = [rows[t] for t in range(s) if (mask >> t) & 1]
-            out.append((left, right))
-        return out
-    dists = {}
+        # mask < 2^(s-1) keeps the last row in the cell, so each unordered
+        # split appears exactly once
+        return [[rows[t] for t in range(s) if (mask >> t) & 1]
+                for mask in range(1, 1 << (s - 1))]
     poles = (rows[0], rows[1])
     worst = -1
     for x in range(s):
@@ -114,88 +110,66 @@ def _split_candidates(rows: list[int], a: np.ndarray
             if d > worst:
                 worst = d
                 poles = (rows[x], rows[y])
-    left, right = [poles[0]], [poles[1]]
+    right = [poles[1]]
     for r in rows:
         if r in poles:
             continue
-        dl = int(np.sum(a[r] != a[poles[0]]))
-        dr = int(np.sum(a[r] != a[poles[1]]))
-        (left if dl <= dr else right).append(r)
-    return [(left, right)]
+        if np.sum(a[r] != a[poles[0]]) > np.sum(a[r] != a[poles[1]]):
+            right.append(r)
+    return [right]
+
+
+def _moves(inst: Instance, machine_cell: list[int], cap: int):
+    """Neighbours of a machine grouping, as batches of (not yet renumbered)
+    label lists in search order: each relocation of one machine (to another
+    cell or a new one) and each merge of two cells is a batch of one; all
+    two-partitions of one cell form one batch. No grouping has more than
+    cap cells; under no-residual cap <= p, so every cell can get a part."""
+    k = max(machine_cell)
+    for i, src in enumerate(machine_cell):
+        top = k if machine_cell.count(src) == 1 else min(k + 1, cap)
+        for dst in range(1, top + 1):
+            if dst != src:
+                cells = list(machine_cell)
+                cells[i] = dst
+                yield [cells]
+    for c in range(1, k + 1):
+        for d in range(c + 1, k + 1):
+            yield [[c if v == d else v for v in machine_cell]]
+    if k < cap:
+        for c in range(1, k + 1):
+            rows = [i for i, v in enumerate(machine_cell) if v == c]
+            batch = []
+            for right in _split_candidates(rows, inst.matrix):
+                cells = list(machine_cell)
+                for r in right:
+                    cells[r] = k + 1
+                batch.append(cells)
+            yield batch
 
 
 def _climb(inst: Instance, machine_cell: list[int], regime: Regime,
            deadline: float | None) -> Solution:
-    a = inst.matrix
+    """Move to the best improving grouping of the first batch that has one
+    until no batch improves or the deadline passes."""
     cap = label_cap(inst, regime)
-
-    def expired() -> bool:
-        return deadline is not None and time.monotonic() > deadline
-
     sol = fit_parts(inst, machine_cell, regime)
     while True:
-        k = max(sol.machine_cell)
-        improved = None
-
-        # relocate one machine to another cell, or open a new one
-        for i in range(inst.m):
-            src = sol.machine_cell[i]
-            top = k if sum(1 for v in sol.machine_cell if v == src) == 1 else min(k + 1, cap)
-            for dst in range(1, top + 1):
-                if dst == src:
-                    continue
-                if expired():
+        for batch in _moves(inst, sol.machine_cell, cap):
+            best = sol
+            for cells in batch:
+                if deadline is not None and time.monotonic() > deadline:
                     return sol
-                cells = list(sol.machine_cell)
-                cells[i] = dst
-                cells = renumber(cells)
-                if regime is Regime.NO_RESIDUAL and max(cells) > inst.p:
-                    continue
-                cand = fit_parts(inst, cells, regime, sol.efficacy)
-                if cand.efficacy > sol.efficacy:
-                    improved = cand
-                    break
-            if improved:
+                # fit_parts is looked up as a module global, so a wrapper
+                # patched in to trace or count calls sees every candidate
+                cand = fit_parts(inst, renumber(cells), regime, sol.efficacy)
+                if cand.efficacy > best.efficacy:
+                    best = cand
+            if best is not sol:
+                sol = best
                 break
-
-        if improved is None and k >= 2:  # merge two cells
-            for c in range(1, k + 1):
-                for d in range(c + 1, k + 1):
-                    if expired():
-                        return sol
-                    cells = [c if v == d else v for v in sol.machine_cell]
-                    cand = fit_parts(inst, renumber(cells), regime,
-                                     sol.efficacy)
-                    if cand.efficacy > sol.efficacy:
-                        improved = cand
-                        break
-                if improved:
-                    break
-
-        if improved is None and k < cap and not (
-                regime is Regime.NO_RESIDUAL and k + 1 > inst.p):
-            # split one cell by its best two-partition
-            for c in range(1, k + 1):
-                rows = [i for i, v in enumerate(sol.machine_cell) if v == c]
-                best_cand = None
-                for _left, right in _split_candidates(rows, a):
-                    if expired():
-                        return sol
-                    cells = list(sol.machine_cell)
-                    for r in right:
-                        cells[r] = k + 1
-                    cand = fit_parts(inst, renumber(cells), regime,
-                                     sol.efficacy)
-                    if cand.efficacy > sol.efficacy and (
-                            best_cand is None or cand.efficacy > best_cand.efficacy):
-                        best_cand = cand
-                if best_cand is not None:
-                    improved = best_cand
-                    break
-
-        if improved is None:
+        else:
             return sol
-        sol = improved
 
 
 def _random_machine_cells(m: int, k: int, rng: random.Random) -> list[int]:
@@ -214,10 +188,6 @@ def heuristic_solve(inst: Instance, cfg: SearchConfig) -> Solution:
     """Best feasible grouping found across cfg.restarts climbs."""
     regime = cfg.regime
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget is not None else None
-    if regime is Regime.NO_RESIDUAL and (inst.m == 1 or inst.p == 1):
-        sol = Solution(1, [1] * inst.m, [1] * inst.p)
-        efficacy(inst, sol)
-        return sol
     rng = random.Random(cfg.rng_seed)
     kmax = min(inst.m, inst.p)
     best: Solution | None = None

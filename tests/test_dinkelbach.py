@@ -3,19 +3,15 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from cellform.bnb import solve_subproblem
 from cellform.dinkelbach import (
     SolveStatus,
     raw_ratio,
     remaining,
     seed_budget,
-    seed_from,
     solve,
     trivial_solution,
 )
-from cellform.heuristic import SearchConfig
 from cellform.oracle import oracle_solve
 from cellform.rational import Ratio
 from cellform.solutions import Regime, Solution, check_feasible
@@ -34,20 +30,6 @@ def test_raw_ratio_is_unreduced(ref_instance, two_cell):
     assert (r.num, r.den) == (15, 24)
 
 
-def test_seed_from_sources(ref_instance):
-    assert seed_from(ref_instance, Regime.NO_RESIDUAL, "zero") == Ratio(0, 1)
-    passthrough = Ratio(15, 24)
-    assert seed_from(ref_instance, Regime.NO_RESIDUAL, passthrough) is passthrough
-    lit = seed_from(ref_instance, Regime.NO_RESIDUAL, "0.6957")
-    assert (lit.num, lit.den) == (6957, 10000)
-    assert seed_from(ref_instance, Regime.NO_RESIDUAL, "15/24") == Ratio(15, 24)
-    heur = seed_from(ref_instance, Regime.NO_RESIDUAL, "heuristic",
-                     heuristic_cfg=SearchConfig(restarts=2, rng_seed=0))
-    assert heur == Ratio(16, 23)  # the heuristic reaches the optimum here
-    with pytest.raises(ValueError):
-        seed_from(ref_instance, Regime.NO_RESIDUAL, "junk")
-
-
 def test_two_cell_seed_converges_in_two_rounds(ref_instance, two_cell):
     out = solve(ref_instance, Regime.NO_RESIDUAL, seed_solution=two_cell)
     assert out.status is SolveStatus.OPTIMAL
@@ -58,7 +40,7 @@ def test_two_cell_seed_converges_in_two_rounds(ref_instance, two_cell):
     assert lams == [(15, 24), (16, 23)]
     assert [rec.F for rec in out.history] == [39, 0]
     assert out.lambda_final == Ratio(16, 23)
-    assert out.nodes == sum(out.subproblem_stats)
+    assert out.nodes == sum(rec.nodes for rec in out.history)
 
 
 def test_zero_seed_carries_raw_pairs(ref_instance):
@@ -114,9 +96,11 @@ def test_zero_budget_times_out(ref_instance):
 
 
 def test_budget_split_between_seed_and_proof():
-    # the seed stops at the earlier of its own limit and the total
+    # without a limit of its own the seed gets half the total, so the proof
+    # keeps time; with one it stops at the earlier of its limit and the total
     assert seed_budget(None, None) is None
-    assert seed_budget(5.0, None) == 5.0
+    assert seed_budget(5.0, None) == 2.5
+    assert seed_budget(0.0, None) == 0.0
     assert seed_budget(None, 2.0) == 2.0
     assert seed_budget(5.0, 2.0) == 2.0
     assert seed_budget(1.0, 2.0) == 1.0
