@@ -29,9 +29,6 @@ from .solutions import Regime
 CSV_COLUMNS = ("name", "m", "p", "regime", "expected", "achieved", "match",
                "status", "iters", "nodes", "time_ms")
 
-_REGIMES = {"no-residual": Regime.NO_RESIDUAL,
-            "allow-residual": Regime.ALLOW_RESIDUAL}
-
 
 @dataclass
 class ManifestEntry:
@@ -59,8 +56,8 @@ class BenchRow:
 
 def regime_from_string(text: str) -> Regime:
     try:
-        return _REGIMES[text.strip().lower()]
-    except KeyError:
+        return Regime(text.strip().lower())
+    except ValueError:
         raise ValueError(
             f"unknown regime {text!r} (expected no-residual or allow-residual)"
         ) from None
@@ -93,12 +90,12 @@ def _instance_seed(name: str) -> int:
 
 def run_entry(entry: ManifestEntry, time_limit: float | None,
               restarts: int, heuristic_time: float | None) -> BenchRow:
-    regime_str = next(s for s, r in _REGIMES.items() if r is entry.regime)
     try:
         inst = load_instance(entry.path)
     except (OSError, ValueError) as exc:
-        return BenchRow(entry.name, 0, 0, regime_str, entry.expected.to_4dp(),
-                        "-", "-", "Error", 0, 0, 0, error=str(exc))
+        return BenchRow(entry.name, 0, 0, entry.regime.value,
+                        entry.expected.to_4dp(), "-", "-", "Error", 0, 0, 0,
+                        error=str(exc))
     t0 = time.monotonic()
     seed = heuristic_solve(inst, SearchConfig(
         regime=entry.regime, restarts=restarts,
@@ -109,7 +106,7 @@ def run_entry(entry: ManifestEntry, time_limit: float | None,
     achieved = out.solution.efficacy
     match = "yes" if achieved.to_4dp() == entry.expected.to_4dp() else "no"
     return BenchRow(
-        entry.name, inst.m, inst.p, regime_str,
+        entry.name, inst.m, inst.p, entry.regime.value,
         entry.expected.to_4dp(), achieved.to_4dp(), match,
         out.status.value, out.iterations, out.nodes,
         int(round((time.monotonic() - t0) * 1000)))

@@ -10,15 +10,15 @@ fixed each part independently takes the cell with the best weight-column
 sum, or residual when the regime allows it (optimal_parts, which the
 heuristic's part placement calls too). The search therefore only branches on
 machine partitions, encoded as restricted-growth strings with machines
-ordered densest-first. A child's bound lets every part pick its best cell
-while every unassigned machine contributes all of its positive weights;
-child_bounds scores all children of a node (the machine joins each open
-cell, or opens a new one) in one numpy step when the search descends into
-the node, so its children are then visited with scalar compares only. A
-machine's row enters the cell sums only when the search descends through
-it; pruned children and leaves build their sums on demand. The search is a
-single depth-first loop over an explicit label stack in plain Python and
-numpy.
+ordered densest-first. Its only prune is a child's bound, which lets every
+part pick its best cell while every unassigned machine contributes all of
+its positive weights; child_bounds scores all children of a node (the
+machine joins each open cell, or opens a new one) in one numpy step when
+the search descends into the node, so its children are then visited with
+scalar compares only. A machine's row enters the cell sums only when the
+search descends through it; pruned children and leaves build their sums on
+demand. The search is a single depth-first loop over an explicit label
+stack in plain Python and numpy.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .instances import Instance
 from .rational import Ratio
-from .solutions import Regime, Solution, canonicalize, efficacy, void_upper_bound
+from .solutions import Regime, Solution, canonicalize, efficacy
 
 _NEG_INF = -(1 << 62)
 
@@ -164,10 +164,9 @@ class SubproblemStats:
     nodes: int = 0
     leaves: int = 0
     pruned_bound: int = 0
-    pruned_void: int = 0
+    pruned_void: int = 0  # always 0 (the bound is the only prune); perfbench reads it
     max_depth: int = 0
     max_cells: int = 0
-    time_ms: int = 0
     engine: str = "python"
 
 
@@ -199,32 +198,24 @@ def solve_subproblem(
 ) -> SubproblemResult:
     """Maximize F = q_den*n1_in - p_num*(n0_in + n1) over feasible groupings.
 
-    incumbent_F, when given, is the value of a solution the caller already
-    holds; only strictly better solutions are returned (solution=None means
-    the incumbent stands and best_F == incumbent_F is the exact maximum,
-    budget permitting). The void prune from the optimal-void bound activates
-    only while the running best is >= 0, which provably never cuts a
-    solution with F >= 0, so returned maxima are exact whenever they are
-    nonnegative; `prune=False` disables all pruning (full enumeration).
+    incumbent_F, when given, must be the value of a grouping the caller
+    already holds; only strictly better groupings are returned
+    (solution=None means the incumbent stands and best_F == incumbent_F).
+    Unless a budget stops the search, the returned maximum is exact whatever
+    its sign. `prune=False` disables the bound prune (full enumeration).
     """
-    t0 = time.monotonic()
-    a = inst.matrix
+    deadline = time.monotonic() + time_limit if time_limit is not None else None
     w = make_weights(inst, lam)
     no_res = regime is Regime.NO_RESIDUAL
     c_max = label_cap(inst, regime)
-    order = sorted(range(inst.m), key=lambda i: (-int(a[i].sum()), i))
-    void_cap = -1
-    if prune and lam.num > 0 and inst.n1 >= 1:
-        void_cap = void_upper_bound(inst.n1, lam)
-    deadline = t0 + time_limit if time_limit is not None else None
+    order = sorted(range(inst.m), key=lambda i: (-int(inst.matrix[i].sum()), i))
 
     best_F, best_m, best_p, stats, truncated = _search(
-        a, w, order, c_max, no_res, lam.num * inst.n1, void_cap,
+        w, order, c_max, no_res, lam.num * inst.n1,
         _NEG_INF if incumbent_F is None else incumbent_F,
         node_limit, deadline, prune,
     )
 
-    stats.time_ms = int((time.monotonic() - t0) * 1000)
     solution = None
     if best_m is not None:
         machine_cell = [int(v) for v in best_m]
@@ -236,20 +227,17 @@ def solve_subproblem(
     return SubproblemResult(int(best_F), solution, truncated, stats)
 
 
-def _search(a, w, order, c_max, no_res, const, void_cap, best_F0,
-            node_limit, deadline, prune):
+def _search(w, order, c_max, no_res, const, best_F0, node_limit, deadline,
+            prune):
     m, p = w.shape
     wo = w[order]
-    zo = 1 - a[order]
     pos_row = np.maximum(wo, 0).sum(axis=1)
     suffix = [0] * (m + 1)  # positive weight of the machines from depth d on
     for d in range(m - 1, -1, -1):
         suffix[d] = suffix[d + 1] + int(pos_row[d])
-    voids = no_res and void_cap >= 0
 
     # cells the search has descended through; rows past the open ones are 0
     cell_sums = np.zeros((c_max, p), dtype=np.int64)
-    cell_zero = np.zeros((c_max, p), dtype=np.int64)
     # per depth: the label tried, the node's open cells, its child bounds
     trying = [-1] * m
     opened = [0] * m
@@ -257,7 +245,7 @@ def _search(a, w, order, c_max, no_res, const, void_cap, best_F0,
 
     best_F = best_F0
     best_m = best_p = None
-    nodes = leaves = pruned_bound = pruned_void = max_depth = max_cells = 0
+    nodes = leaves = pruned_bound = max_depth = max_cells = 0
     truncated = False
     d = 0
     tick = 0
@@ -269,10 +257,7 @@ def _search(a, w, order, c_max, no_res, const, void_cap, best_F0,
             trying[d] = -1
             d -= 1
             if d >= 0:  # leave the parent's cell the way it was
-                c = trying[d]
-                cell_sums[c] -= wo[d]
-                if voids:
-                    cell_zero[c] -= zo[d]
+                cell_sums[trying[d]] -= wo[d]
             continue
         if c == 0 and prune:  # entering the node: score all its children
             bounds[d] = child_bounds(cell_sums[:k], wo[d], suffix[d + 1],
@@ -297,21 +282,9 @@ def _search(a, w, order, c_max, no_res, const, void_cap, best_F0,
                 truncated = True
                 break
 
-        if prune:
-            if bounds[d][c] <= best_F:
-                pruned_bound += 1
-                continue
-            # Void prune: only while best_F >= 0, where it cannot cut any
-            # solution with F >= 0 (their void counts obey the cap).
-            if voids and best_F >= 0:
-                z = cell_zero[:kc].copy()
-                z[c] += zo[d]
-                lb = int(z.min(axis=1).sum())
-                if kc == c_max:
-                    lb = max(lb, int(z.min(axis=0).sum()))
-                if lb > void_cap:
-                    pruned_void += 1
-                    continue
+        if prune and bounds[d][c] <= best_F:
+            pruned_bound += 1
+            continue
 
         if depth == m:
             leaves += 1
@@ -328,11 +301,9 @@ def _search(a, w, order, c_max, no_res, const, void_cap, best_F0,
             continue
 
         cell_sums[c] += wo[d]
-        if voids:
-            cell_zero[c] += zo[d]
         d = depth
         opened[d] = kc
 
-    stats = SubproblemStats(nodes, leaves, pruned_bound, pruned_void,
-                            max_depth, max_cells)
+    stats = SubproblemStats(nodes, leaves, pruned_bound, max_depth=max_depth,
+                            max_cells=max_cells)
     return best_F, best_m, best_p, stats, truncated

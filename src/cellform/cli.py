@@ -29,7 +29,7 @@ log = logging.getLogger(__name__)
 
 def _add_regime(parser):
     parser.add_argument(
-        "--regime", choices=("no-residual", "allow-residual"),
+        "--regime", choices=[r.value for r in Regime],
         default="no-residual",
         help="no-residual: every cell needs a machine and a part; "
              "allow-residual: label 0 and one-sided cells permitted")
@@ -47,10 +47,6 @@ def seconds(text: str) -> float:
     if not value >= 0:  # also rejects nan
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return value
-
-
-def _regime(args) -> Regime:
-    return benchmod.regime_from_string(args.regime)
 
 
 def _heuristic_cfg(args, regime: Regime) -> SearchConfig:
@@ -93,12 +89,11 @@ def cmd_efficacy(args) -> int:
     inst = load_instance(args.instance)
     sol = parse_solution(Path(args.solution).read_text(), inst)
     print(report_line(inst, sol))
-    for name, regime in (("no-residual", Regime.NO_RESIDUAL),
-                         ("allow-residual", Regime.ALLOW_RESIDUAL)):
+    for regime in Regime:
         feasible, violations = check_feasible(inst, sol, regime)
         verdict = "feasible" if feasible else \
             "infeasible (" + "; ".join(violations) + ")"
-        print(f"{name}: {verdict}")
+        print(f"{regime.value}: {verdict}")
     return 0
 
 
@@ -149,7 +144,7 @@ def _lp_subsolver(lp_dir: Path, stem: str):
 def cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     t0 = time.monotonic()  # --time-limit covers the seed and the proof
-    regime = _regime(args)
+    regime = Regime(args.regime)
     out_path = Path(args.output) if args.output else \
         Path(args.instance).with_suffix(".sol")
 
@@ -192,7 +187,7 @@ def cmd_solve(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst = load_instance(args.instance)
-    regime = _regime(args)
+    regime = Regime(args.regime)
     try:
         sol = oracle_solve(inst, regime)
     except OracleSizeError as exc:
@@ -219,7 +214,7 @@ def cmd_bench(args) -> int:
 
 def cmd_export_lp(args) -> int:
     inst = load_instance(args.instance)
-    regime = _regime(args)
+    regime = Regime(args.regime)
     lam = parse_ratio(args.lam)
     model = build_model(inst, lam, regime)
     out_path = Path(args.output) if args.output else \

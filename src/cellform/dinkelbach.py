@@ -36,9 +36,6 @@ class SolveStatus(str, Enum):
     OPTIMAL = "Optimal"
     TIME_LIMIT = "TimeLimit"
     NODE_LIMIT = "NodeLimit"
-    # Unreachable for m, p >= 1 (one cell holding everything is always
-    # feasible) but part of the outcome vocabulary.
-    INFEASIBLE = "Infeasible"
 
 
 @dataclass
@@ -49,7 +46,7 @@ class IterationRecord:
     nodes: int
     time_ms: int
     leaves: int
-    pruned: int  # nodes cut by the bound or the void cap
+    pruned: int  # nodes cut by the bound
 
 
 @dataclass
@@ -118,8 +115,9 @@ def solve(
 
     Seeds: a seed_solution supplies both the starting ratio (its unreduced
     efficacy pair) and the incumbent; a bare seed_lambda only shifts the
-    first round's ratio. With neither, the loop starts at 0/1. time_limit
-    is a shared wall-clock budget in seconds; node_limit applies per round.
+    first round's ratio and may not exceed 1. With neither, the loop starts
+    at 0/1. time_limit is a shared wall-clock budget in seconds; node_limit
+    applies per round.
     A round the node budget stops ends the solve as NodeLimit, one the
     clock stops as TimeLimit.
     subsolver replaces bnb.solve_subproblem and is called with the same
@@ -127,6 +125,8 @@ def solve(
     node_limit).
     """
     t0 = time.monotonic()
+    if seed_lambda is not None and seed_lambda > 1:
+        raise ValueError(f"efficacy cannot exceed 1, got {seed_lambda}")
     if subsolver is None:
         subsolver = solve_subproblem
 
@@ -158,7 +158,7 @@ def solve(
         total_nodes += st.nodes
         F = res.best_F if res.best_F is not None else 0
         rec = IterationRecord(rounds, lam, F, st.nodes, int(round(it_s * 1000)),
-                              st.leaves, st.pruned_bound + st.pruned_void)
+                              st.leaves, st.pruned_bound)
         history.append(rec)
         log.info("iter=%d lambda=%s F=%d nodes=%d leaves=%d pruned=%d "
                  "nodes_per_s=%d time_ms=%d", rounds, lam, F, rec.nodes,

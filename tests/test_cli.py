@@ -114,9 +114,11 @@ def test_solve_verbose_logs_iterations(inst_file, caplog, capsys):
     capsys.readouterr()
 
 
-def test_solve_bad_seed(inst_file, capsys):
-    assert main(["solve", str(inst_file), "--seed-lambda", "bogus"]) == 1
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize("seed", ["bogus", "2/1"])
+def test_solve_bad_seed(inst_file, capsys, seed):
+    assert main(["solve", str(inst_file), "--seed-lambda", seed]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")  # no traceback
 
 
 def test_solve_time_limit_zero_reports_timelimit(inst_file, capsys):
