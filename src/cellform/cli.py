@@ -108,7 +108,8 @@ def _solve_report(inst, out) -> str:
 def _lp_subsolver(lp_dir: Path, stem: str):
     """Manual loop: write one .lp per round, wait for a `name value`
     assignment file next to it, read the point back as the round's
-    exact maximizer."""
+    exact maximizer. An answer below incumbent_F is no maximum, so it
+    raises RuntimeError."""
     counter = {"round": 0}
 
     def run(inst, lam, regime, incumbent_F, time_limit, node_limit
@@ -135,6 +136,9 @@ def _lp_subsolver(lp_dir: Path, stem: str):
         assign = read_assignment(want.read_text(), inst)
         sol = decode(inst, assign, regime)
         F = objective_value(model, assign)
+        if incumbent_F is not None and F < incumbent_F:
+            raise RuntimeError(f"{want} has F={F}, below the incumbent's "
+                               f"{incumbent_F}")
         return SubproblemResult(F, sol, False,
                                 SubproblemStats(engine="lp-export"))
 

@@ -24,7 +24,8 @@ from enum import Enum
 from .bnb import solve_subproblem
 from .instances import Instance
 from .rational import Ratio
-from .solutions import Regime, Solution, canonicalize, efficacy
+from .solutions import (Regime, Solution, canonicalize, efficacy,
+                        efficacy_ratio)
 
 log = logging.getLogger(__name__)
 
@@ -74,10 +75,7 @@ def trivial_solution(inst: Instance) -> Solution:
 def raw_ratio(inst: Instance, sol: Solution) -> Ratio:
     """The efficacy of sol as the unreduced pair n1_in / (n1 + n0_in)."""
     efficacy(inst, sol)
-    den = inst.n1 + sol.n0_in
-    if den == 0:
-        return Ratio(0, 1)
-    return Ratio(sol.n1_in, den)
+    return efficacy_ratio(inst.n1, sol.n1_in, sol.n0_in)
 
 
 def seed_budget(time_limit: float | None,

@@ -1,9 +1,11 @@
 """Multi-start local search over machine partitions, used to seed the
 parametric solver with a good starting ratio.
 
-Part placement is always kept optimal for the machine grouping at hand
-(the part side separates once machines are fixed), so the neighborhood
-effectively lives on machine partitions. One move stream (`_moves`)
+Part placement is kept optimal for the machine grouping at hand (the
+part side separates once machines are fixed), so the neighborhood
+effectively lives on machine partitions; a candidate grouping that
+cannot beat the current one is rejected after one parametric round of
+`fit_parts`. One move stream (`_moves`)
 yields the neighbours in batches: relocating one machine and merging two
 cells are batches of one, and all two-partitions of one cell form one
 batch. The climb takes the best strictly improving grouping of the first
@@ -30,8 +32,7 @@ from .rational import Ratio
 from .solutions import (Regime, Solution, canonicalize, efficacy,
                         efficacy_ratio, renumber)
 
-_FIT_ROUNDS = 64       # ratio strictly increases each round; never reached
-_SPLIT_ENUM_MAX = 10   # cells up to this size get exact best two-partitions
+_SPLIT_ENUM_MAX = 10  # cells up to this size get exact best two-partitions
 
 
 @dataclass
@@ -48,17 +49,18 @@ class SearchConfig:
 
 def fit_parts(inst: Instance, machine_cell: list[int], regime: Regime,
               lam: Ratio | None = None) -> Solution:
-    """Best part labels for a fixed machine grouping, by the small
-    parametric loop: place parts greedily at the current ratio, take the
-    new grouping's efficacy as the next ratio, stop at the fixpoint. At
-    the fixpoint no part placement beats the one found, so the returned
-    solution is exactly optimal for this machine partition."""
+    """Part labels for a fixed machine grouping, by the small parametric
+    loop from the ratio lam (default 0): place parts greedily at the
+    current ratio, take the new grouping's efficacy as the next ratio, stop
+    once it no longer rises. A result that beats lam is exactly optimal for
+    this machine partition; otherwise no placement beats lam (Dinkelbach's
+    lemma), and the result is the first round's feasible placement."""
     if lam is None:
         lam = Ratio(0, 1)
     ones, zeros = _counts(inst, machine_cell)
     no_res = regime is Regime.NO_RESIDUAL
     best: Solution | None = None
-    for _ in range(_FIT_ROUNDS):
+    while True:  # the ratio rises every round, so the loop ends
         # the per-cell column sums of make_weights(inst, lam)
         labels, _total = optimal_parts(lam.den * ones - lam.num * zeros, no_res)
         placed = np.flatnonzero(labels)
@@ -66,28 +68,20 @@ def fit_parts(inst: Instance, machine_cell: list[int], regime: Regime,
         n1_in = int(ones[cells, placed].sum())
         n0_in = int(zeros[cells, placed].sum())
         tau = efficacy_ratio(inst.n1, n1_in, n0_in).normalized()
-        if best is not None and not tau > best.efficacy:
-            return best
-        best = Solution(len(ones), list(machine_cell), labels.tolist(),
-                        n1_in, n0_in, tau)
-        if tau == lam:
-            return best
-        lam = tau
-    return best
+        sol = Solution(len(ones), list(machine_cell), labels.tolist(),
+                       n1_in, n0_in, tau)
+        if not tau > lam:
+            return best or sol
+        best, lam = sol, tau
 
 
 def _counts(inst: Instance, machine_cell: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell ones/zeros each part would contribute, k x p. Residual
     machines (label 0) join no cell."""
-    a = inst.matrix
-    k = max(machine_cell)
-    ones = np.zeros((k, inst.p), dtype=np.int64)
-    sizes = np.zeros(k, dtype=np.int64)
-    for i, lab in enumerate(machine_cell):
-        if lab:
-            ones[lab - 1] += a[i]
-            sizes[lab - 1] += 1
-    zeros = sizes[:, None] - ones
+    cells = np.asarray(machine_cell)
+    member = cells == np.arange(1, max(machine_cell) + 1)[:, None]
+    ones = member @ inst.matrix
+    zeros = member.sum(1)[:, None] - ones
     return ones, zeros
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from cellform.bnb import solve_subproblem
 from cellform.cli import main
-from cellform.dinkelbach import raw_ratio
+from cellform.dinkelbach import raw_ratio, trivial_solution
 from cellform.instances import load_instance, write_instance
 from cellform.model import encode
 from cellform.rational import Ratio
@@ -240,6 +240,16 @@ def test_export_lp_lambda_default_zero(inst_file, tmp_path, capsys):
 # ---------------------------------------------------------------- lp loop
 
 
+def write_assignment(path, inst, sol):
+    """Answer an exported round with sol, as an external solver would."""
+    assign = encode(inst, sol)
+    lines = [f"x_{i+1}_{k+1} {assign.x[i][k]}"
+             for i in range(inst.m) for k in range(i + 1, inst.m)]
+    lines += [f"y_{i+1}_{j+1} {assign.y[i][j]}"
+              for i in range(inst.m) for j in range(inst.p)]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def test_solve_lp_export_backend(inst_file, ref_instance, tmp_path,
                                  monkeypatch, capsys):
     lp_dir = tmp_path / "rounds"
@@ -251,16 +261,8 @@ def test_solve_lp_export_backend(inst_file, ref_instance, tmp_path,
     while True:
         rounds += 1
         res = solve_subproblem(ref_instance, lam, Regime.NO_RESIDUAL)
-        assign = encode(ref_instance, res.solution)
-        lines = []
-        for i in range(5):
-            for k in range(i + 1, 5):
-                lines.append(f"x_{i+1}_{k+1} {assign.x[i][k]}")
-        for i in range(5):
-            for j in range(7):
-                lines.append(f"y_{i+1}_{j+1} {assign.y[i][j]}")
-        (lp_dir / f"ref57.iter{rounds}.assign").write_text(
-            "\n".join(lines) + "\n")
+        write_assignment(lp_dir / f"ref57.iter{rounds}.assign", ref_instance,
+                         res.solution)
         if res.best_F == 0:
             break
         lam = raw_ratio(ref_instance, res.solution)
@@ -279,6 +281,25 @@ def test_solve_lp_export_backend(inst_file, ref_instance, tmp_path,
         assert f"wrote {lp}" in captured.err
     assert parse_solution(out_path.read_text(),
                           ref_instance).efficacy == Ratio(16, 23)
+
+
+def test_solve_lp_export_rejects_an_answer_below_the_incumbent(
+        inst_file, ref_instance, tmp_path, monkeypatch, capsys):
+    # the heuristic seeds 16/23, so round 1 runs at that ratio with the
+    # seed's F = 0 as its baseline; the one-cell grouping scores F = -100
+    lp_dir = tmp_path / "rounds"
+    lp_dir.mkdir()
+    answer = lp_dir / "ref57.iter1.assign"
+    write_assignment(answer, ref_instance, trivial_solution(ref_instance))
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n" * 3))
+    out_path = tmp_path / "lp.sol"
+    assert main(["solve", str(inst_file), "--backend", "lp-export",
+                 "--lp-dir", str(lp_dir), "-o", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert "status=" not in captured.out
+    errors = [l for l in captured.err.splitlines() if l.startswith("error:")]
+    assert errors == [f"error: {answer} has F=-100, below the incumbent's 0"]
+    assert not out_path.exists()
 
 
 def test_solve_lp_export_without_input_fails(inst_file, tmp_path,

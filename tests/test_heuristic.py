@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from cellform import heuristic
+from cellform.bnb import optimal_parts
 from cellform.heuristic import SearchConfig, fit_parts, heuristic_solve
 from cellform.instances import Instance
 from cellform.oracle import oracle_solve
-from cellform.rational import parse_ratio
+from cellform.rational import Ratio, parse_ratio
 from cellform.solutions import Regime, check_feasible, efficacy
 
 from helpers import pair_counts, part_vectors, planted_instance, random_instance
@@ -22,9 +23,19 @@ def test_config_validates_restarts():
         SearchConfig(restarts=0)
 
 
-def test_fit_parts_is_part_optimal():
-    # for a fixed machine grouping no part labeling beats the fixpoint;
-    # under allow-residual some machines are residual and join no cell
+def test_fit_parts_is_part_optimal(monkeypatch):
+    # for a fixed machine grouping, a placement that beats the ratio lam is
+    # the best placement; otherwise no placement beats lam, and one
+    # parametric round said so. Under allow-residual some machines are
+    # residual and join no cell
+    rounds = 0
+
+    def counted(*args):
+        nonlocal rounds
+        rounds += 1
+        return optimal_parts(*args)
+
+    monkeypatch.setattr(heuristic, "optimal_parts", counted)
     rng = random.Random(13)
     for _ in range(40):
         inst = random_instance(rng, rng.randrange(2, 6), rng.randrange(2, 5), 0.5)
@@ -33,18 +44,27 @@ def test_fit_parts_is_part_optimal():
             low = 0 if regime is Regime.ALLOW_RESIDUAL else 1
             mc = [rng.randrange(low, k + 1) for _ in range(inst.m)]
             mc[:k] = range(1, k + 1)  # every cell nonempty
-            sol = fit_parts(inst, mc, regime)
-            ok, problems = check_feasible(inst, sol, regime)
-            assert ok, problems
-            stored = (sol.n1_in, sol.n0_in, sol.efficacy)
-            got = frac(efficacy(inst, sol))
-            assert (sol.n1_in, sol.n0_in, sol.efficacy) == stored
             best = Fraction(0)
             for pc in part_vectors(k, inst.p, regime):
                 n1_in, n0_in = pair_counts(inst, mc, pc)
                 if inst.n1 + n0_in:
                     best = max(best, Fraction(n1_in, inst.n1 + n0_in))
-            assert got == best, (inst.a, mc, regime)
+            # below, at and above the best placement's efficacy
+            for lam in (best / 2, best, (best + 1) / 2):
+                rounds = 0
+                sol = fit_parts(inst, mc, regime,
+                                Ratio(lam.numerator, lam.denominator))
+                ok, problems = check_feasible(inst, sol, regime)
+                assert ok, problems
+                stored = (sol.n1_in, sol.n0_in, sol.efficacy)
+                got = frac(efficacy(inst, sol))
+                assert (sol.n1_in, sol.n0_in, sol.efficacy) == stored
+                if got > lam:
+                    assert got == best, (inst.a, mc, regime, lam)
+                else:
+                    assert best <= lam, (inst.a, mc, regime, lam)
+                if lam >= best:
+                    assert rounds == 1, (inst.a, mc, regime, lam)
 
 
 def test_finds_reference_optimum(ref_instance):
@@ -114,36 +134,43 @@ def test_time_budget_still_returns_feasible(ref_instance):
     assert ok, problems
 
 
-# (generator args, regime, canonical machine_cell, efficacy, fit_parts calls)
-# with rng_seed=0 and 8 restarts; the call count is the machine-independent
-# cost of the climb, so a change to the move order or acceptance rule must
+# (generator args, regime, canonical machine_cell, efficacy, fit_parts
+# calls, optimal_parts rounds) with rng_seed=0 and 8 restarts; the counts
+# are the machine-independent cost of the climb, so a change to the move
+# order, the acceptance rule or the parametric loop of fit_parts must
 # update this table knowingly
 PINNED_RESULTS = [
-    ((1, 8, 10, 3, .7, .15), "no-residual", [1, 1, 2, 3, 4, 1, 4, 5], "2/3", 1229),
-    ((1, 8, 10, 3, .7, .15), "allow-residual", [1, 1, 2, 3, 4, 1, 4, 5], "2/3", 1204),
-    ((2, 9, 12, 3, .7, .15), "no-residual", [1, 1, 2, 3, 2, 4, 1, 2, 1], "23/35", 1397),
-    ((2, 9, 12, 3, .7, .15), "allow-residual", [1, 1, 2, 3, 2, 4, 5, 2, 1], "2/3", 1137),
-    ((3, 10, 12, 4, .7, .12), "no-residual", [1, 2, 1, 3, 2, 3, 4, 5, 3, 6], "5/8", 1688),
-    ((3, 10, 12, 4, .7, .12), "allow-residual", [1, 2, 1, 3, 2, 3, 4, 5, 3, 6], "20/31", 1750),
+    ((1, 8, 10, 3, .7, .15), "no-residual", [1, 1, 2, 3, 4, 1, 4, 5], "2/3", 1229, 1301),
+    ((1, 8, 10, 3, .7, .15), "allow-residual", [1, 1, 2, 3, 4, 1, 4, 5], "2/3", 1204, 1274),
+    ((2, 9, 12, 3, .7, .15), "no-residual", [1, 1, 2, 3, 2, 4, 1, 2, 1], "23/35", 1397, 1467),
+    ((2, 9, 12, 3, .7, .15), "allow-residual", [1, 1, 2, 3, 2, 4, 5, 2, 1], "2/3", 1137, 1202),
+    ((3, 10, 12, 4, .7, .12), "no-residual", [1, 2, 1, 3, 2, 3, 4, 5, 3, 6], "5/8", 1688, 1784),
+    ((3, 10, 12, 4, .7, .12), "allow-residual", [1, 2, 1, 3, 2, 3, 4, 5, 3, 6], "20/31", 1750, 1849),
     # here the climb takes a split whose batch holds several improving ones
-    ((7, 10, 12, 4, .6, .2), "no-residual", [1, 2, 3, 4, 3, 1, 2, 2, 4, 2], "25/46", 1898),
-    ((7, 10, 12, 4, .6, .2), "allow-residual", [1, 2, 3, 4, 3, 1, 2, 2, 4, 2], "25/46", 1834),
+    ((7, 10, 12, 4, .6, .2), "no-residual", [1, 2, 3, 4, 3, 1, 2, 2, 4, 2], "25/46", 1898, 1999),
+    ((7, 10, 12, 4, .6, .2), "allow-residual", [1, 2, 3, 4, 3, 1, 2, 2, 4, 2], "25/46", 1834, 1941),
 ]
 
 
 def test_results_are_pinned(monkeypatch):
-    calls = 0
+    calls = rounds = 0
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
         return fit_parts(*args, **kwargs)
 
+    def counted_rounds(*args):
+        nonlocal rounds
+        rounds += 1
+        return optimal_parts(*args)
+
     monkeypatch.setattr(heuristic, "fit_parts", counted)
-    for gen, regime, machine_cell, eff, want_calls in PINNED_RESULTS:
+    monkeypatch.setattr(heuristic, "optimal_parts", counted_rounds)
+    for gen, regime, machine_cell, eff, want_calls, want_rounds in PINNED_RESULTS:
         inst, _ = planted_instance(*gen)
-        calls = 0
+        calls = rounds = 0
         sol = heuristic_solve(inst, SearchConfig(regime=Regime(regime),
                                                  restarts=8, rng_seed=0))
-        assert (sol.machine_cell, sol.efficacy, calls) == (
-            machine_cell, parse_ratio(eff), want_calls), (gen, regime)
+        assert (sol.machine_cell, sol.efficacy, calls, rounds) == (
+            machine_cell, parse_ratio(eff), want_calls, want_rounds), (gen, regime)
