@@ -97,12 +97,14 @@ def cmd_efficacy(args) -> int:
     return 0
 
 
-def _solve_report(inst, out) -> str:
+def _solve_report(inst, out, seed_ms: int) -> str:
+    """time_ms is the exact rounds' wall time, seed_ms the heuristic
+    seed's (0 for a given ratio)."""
     sol = out.solution
     raw = efficacy_ratio(inst.n1, sol.n1_in, sol.n0_in)
     return (f"status={out.status.value} efficacy={raw} ({raw.to_4dp()}) "
             f"cells={sol.c} iters={out.iterations} nodes={out.nodes} "
-            f"time_ms={out.time_ms}")
+            f"time_ms={out.time_ms} seed_ms={seed_ms}")
 
 
 def _lp_subsolver(lp_dir: Path, stem: str):
@@ -154,8 +156,10 @@ def cmd_solve(args) -> int:
 
     seed_solution = None
     seed_lambda = None
+    seed_ms = 0
     if args.seed_lambda == "heuristic":
         seed_solution = heuristic_solve(inst, _heuristic_cfg(args, regime))
+        seed_ms = int(round((time.monotonic() - t0) * 1000))
     elif args.seed_lambda == "zero":
         seed_lambda = Ratio(0, 1)
     else:
@@ -175,7 +179,7 @@ def cmd_solve(args) -> int:
 
     out_path.write_text(write_solution(out.solution))
     print(f"wrote {out_path}", file=sys.stderr)
-    report = _solve_report(inst, out)
+    report = _solve_report(inst, out, seed_ms)
     print(report)
 
     # the written file must reproduce the reported numbers exactly

@@ -3,9 +3,7 @@ parametric solver with a good starting ratio.
 
 Part placement is kept optimal for the machine grouping at hand (the
 part side separates once machines are fixed), so the neighborhood
-effectively lives on machine partitions; a candidate grouping that
-cannot beat the current one is rejected after one parametric round of
-`fit_parts`. One move stream (`_moves`)
+effectively lives on machine partitions. One move stream (`_moves`)
 yields the neighbours in batches: relocating one machine and merging two
 cells are batches of one, and all two-partitions of one cell form one
 batch. The climb takes the best strictly improving grouping of the first
@@ -13,9 +11,24 @@ batch that has one - first improvement for relocate and merge, the best
 split per cell - under exact rational comparison, so every climb
 terminates; restarts supply the diversification.
 
+The screen: at lam = num/den, the efficacy of the current grouping, a
+neighbour beats it only if some placement has F = den*n1_in -
+num*(n0_in + n1) > 0. Letting every part take its best cell or go
+residual, ignoring the cover constraint, bounds F from above (the
+relaxation of `bnb.child_bounds`), so a neighbour whose bound is <= 0 is
+dropped without being fitted. The bounds come from the current grouping's
+per-cell weight sums: a relocation changes two of their rows and a merge
+folds one row into another, so `child_bounds` scores all relocations of
+one machine, or all merges into one cell, at once; the splits of one
+cell are scored as a mask matrix times the cell's weight rows. The
+neighbours that pass are fitted by `fit_parts` at lam, which rejects a
+loser after one parametric round. Dropped neighbours cannot win, so the
+climb accepts the same groupings as one that fits every neighbour.
+
 Determinism: the same rng_seed gives the same answer as long as the time
-budget does not cut a run short. The budget is polled before every
-candidate move, so a climb overruns it by about one candidate.
+budget does not cut a run short. The budget is polled before every batch
+is scored and before every `fit_parts` call, so a climb overruns it by
+about one of either.
 """
 
 from __future__ import annotations
@@ -26,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bnb import label_cap, optimal_parts
+from .bnb import child_bounds, label_cap, make_weights, optimal_parts
 from .instances import Instance
 from .rational import Ratio
 from .solutions import (Regime, Solution, canonicalize, efficacy,
@@ -85,61 +98,102 @@ def _counts(inst: Instance, machine_cell: list[int]) -> tuple[np.ndarray, np.nda
     return ones, zeros
 
 
-def _split_candidates(rows: list[int], a: np.ndarray) -> list[list[int]]:
-    """Two-partitions of a cell's machines, each given by the half that
-    leaves the cell: all of them for small cells, else one pole-based
-    split (the two most dissimilar rows seed the halves, everyone else
-    joins the nearer pole)."""
+def _split_candidates(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Two-partitions of a cell's machines (ascending row indices), as a
+    boolean matrix whose rows mark the half that leaves the cell: all of
+    them for small cells, else one pole-based split (the first pair of most
+    dissimilar rows seeds the halves, everyone else joins the nearer
+    pole)."""
     s = len(rows)
     if s <= _SPLIT_ENUM_MAX:
         # mask < 2^(s-1) keeps the last row in the cell, so each unordered
         # split appears exactly once
-        return [[rows[t] for t in range(s) if (mask >> t) & 1]
-                for mask in range(1, 1 << (s - 1))]
-    poles = (rows[0], rows[1])
-    worst = -1
-    for x in range(s):
-        for y in range(x + 1, s):
-            d = int(np.sum(a[rows[x]] != a[rows[y]]))
-            if d > worst:
-                worst = d
-                poles = (rows[x], rows[y])
-    right = [poles[1]]
-    for r in rows:
-        if r in poles:
-            continue
-        if np.sum(a[r] != a[poles[0]]) > np.sum(a[r] != a[poles[1]]):
-            right.append(r)
-    return [right]
+        masks = np.arange(1, 1 << (s - 1))
+        return (masks[:, None] >> np.arange(s)) & 1 == 1
+    cell = a[rows]
+    only = cell @ (1 - cell).T
+    dist = only + only.T  # pairwise Hamming distances
+    # argmax takes the first maximal x < y in row-major order
+    x, y = divmod(int(np.argmax(np.triu(dist + 1, 1))), s)
+    right = dist[:, x] > dist[:, y]
+    right[x], right[y] = False, True
+    return right[None, :]
 
 
-def _moves(inst: Instance, machine_cell: list[int], cap: int):
-    """Neighbours of a machine grouping, as batches of (not yet renumbered)
-    label lists in search order: each relocation of one machine (to another
-    cell or a new one) and each merge of two cells is a batch of one; all
-    two-partitions of one cell form one batch. No grouping has more than
-    cap cells; under no-residual cap <= p, so every cell can get a part."""
-    k = max(machine_cell)
+def _past(deadline: float | None) -> bool:
+    return deadline is not None and time.monotonic() > deadline
+
+
+def _moves(inst: Instance, sol: Solution, cap: int, deadline: float | None):
+    """Neighbours of sol's machine grouping that may beat it, as batches of
+    (not yet renumbered) label lists in search order: each relocation of one
+    machine (to another cell or a new one) and each merge of two cells is a
+    batch of one; the two-partitions of one cell form one batch. No grouping
+    has more than cap cells; under no-residual cap <= p, so every cell can
+    get a part.
+
+    A neighbour is yielded only if its relaxed value at lam = sol.efficacy
+    beats num*n1 (see the module docstring). The stream stops early once the
+    deadline has passed; it is polled before every batch is scored."""
+    lam = sol.efficacy
+    machine_cell = sol.machine_cell
+    w = make_weights(inst, lam)
+    ones, zeros = _counts(inst, machine_cell)
+    sums = lam.den * ones - lam.num * zeros  # weight column sums of sol's cells
+    const = lam.num * inst.n1
+    k, p = sums.shape
+    labels = np.asarray(machine_cell)
+    size = np.bincount(labels, minlength=k + 1)
+
+    def moved(rows, dst):
+        cells = list(machine_cell)
+        for r in rows:
+            cells[r] = dst
+        return cells
+
+    def values(src, row, c_max):
+        # relaxed value, minus num*n1, of moving row's weight sums out of
+        # cell src into each cell c < c_max; c = k opens a new cell
+        rest = sums.copy()
+        rest[src] -= row
+        return child_bounds(rest, row, 0, const, c_max)
+
     for i, src in enumerate(machine_cell):
-        top = k if machine_cell.count(src) == 1 else min(k + 1, cap)
+        top = k if size[src] == 1 else min(k + 1, cap)
+        if top == 1:  # nowhere to go
+            continue
+        if _past(deadline):
+            return
+        value = values(src - 1, w[i], top)
         for dst in range(1, top + 1):
-            if dst != src:
-                cells = list(machine_cell)
-                cells[i] = dst
-                yield [cells]
-    for c in range(1, k + 1):
-        for d in range(c + 1, k + 1):
-            yield [[c if v == d else v for v in machine_cell]]
-    if k < cap:
+            if dst != src and value[dst - 1] > 0:
+                yield [moved([i], dst)]
+    if k > 1:
+        if _past(deadline):
+            return
+        # merging cell d into cell c moves d's whole row of sums
+        value = [values(d, sums[d], k) for d in range(k)]
         for c in range(1, k + 1):
-            rows = [i for i, v in enumerate(machine_cell) if v == c]
-            batch = []
-            for right in _split_candidates(rows, inst.matrix):
-                cells = list(machine_cell)
-                for r in right:
-                    cells[r] = k + 1
-                batch.append(cells)
-            yield batch
+            for d in range(c + 1, k + 1):
+                if value[d - 1][c - 1] > 0:
+                    yield [[c if v == d else v for v in machine_cell]]
+    if k < cap:
+        # per cell, the best sum of the other cells, or 0 for a fresh or
+        # residual place: the second best where the cell holds the best
+        second, first = np.sort(
+            np.concatenate((sums, np.zeros((1, p), np.int64))), axis=0)[-2:]
+        other = np.where(sums == first, second, first)
+        for c in range(k):
+            if _past(deadline):
+                return
+            rows = np.flatnonzero(labels == c + 1)
+            masks = _split_candidates(rows, inst.matrix)
+            out = masks @ w[rows]
+            value = (np.maximum(np.maximum(sums[c] - out, out), other[c])
+                     .sum(axis=1) - const)
+            batch = [moved(rows[mask], k + 1) for mask in masks[value > 0]]
+            if batch:
+                yield batch
 
 
 def _climb(inst: Instance, machine_cell: list[int], regime: Regime,
@@ -149,10 +203,10 @@ def _climb(inst: Instance, machine_cell: list[int], regime: Regime,
     cap = label_cap(inst, regime)
     sol = fit_parts(inst, machine_cell, regime)
     while True:
-        for batch in _moves(inst, sol.machine_cell, cap):
+        for batch in _moves(inst, sol, cap, deadline):
             best = sol
             for cells in batch:
-                if deadline is not None and time.monotonic() > deadline:
+                if _past(deadline):
                     return sol
                 # fit_parts is looked up as a module global, so a wrapper
                 # patched in to trace or count calls sees every candidate
@@ -186,7 +240,7 @@ def heuristic_solve(inst: Instance, cfg: SearchConfig) -> Solution:
     kmax = min(inst.m, inst.p)
     best: Solution | None = None
     for _ in range(cfg.restarts):
-        if deadline is not None and time.monotonic() > deadline and best is not None:
+        if _past(deadline) and best is not None:
             break
         k = rng.randint(1, kmax)
         cells = _random_machine_cells(inst.m, k, rng)

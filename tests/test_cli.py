@@ -1,6 +1,7 @@
 import io
 import logging
 import os
+import re
 import subprocess
 import sys
 import time
@@ -89,6 +90,7 @@ def test_solve_writes_solution_and_reports(inst_file, capsys):
     line = captured.out.strip()
     assert line.startswith("status=Optimal efficacy=16/23 (0.6957) cells=2 ")
     assert "iters=" in line and "nodes=" in line and "time_ms=" in line
+    assert re.search(r" seed_ms=\d+$", line)
     sol_path = inst_file.with_suffix(".sol")
     assert f"wrote {sol_path}" in captured.err
     sol = parse_solution(sol_path.read_text(), load_instance(inst_file))
@@ -101,7 +103,9 @@ def test_solve_explicit_output_and_seed(inst_file, tmp_path, capsys):
     assert main(["solve", str(inst_file), "--seed-lambda", "15/24",
                  "--regime", "allow-residual", "-o", str(out_path)]) == 0
     assert out_path.exists()
-    assert "status=Optimal efficacy=16/23" in capsys.readouterr().out
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("status=Optimal efficacy=16/23")
+    assert line.endswith(" seed_ms=0")  # no heuristic seed ran
 
 
 def test_solve_verbose_logs_iterations(inst_file, caplog, capsys):
