@@ -19,6 +19,12 @@ scalar compares only. A machine's row enters the cell sums only when the
 search descends through it; pruned children and leaves build their sums on
 demand. The search is a single depth-first loop over an explicit label
 stack in plain Python and numpy.
+
+Given an incumbent value, the search stops at the first leaf that beats it:
+the Dinkelbach loop needs only one grouping with F > 0 to raise its ratio,
+not the round's maximum. A search that finds no such leaf has visited or
+pruned every node, so its "nothing beats the incumbent" is a proof. Without
+an incumbent the search returns the exact maximum.
 """
 
 from __future__ import annotations
@@ -199,10 +205,12 @@ def solve_subproblem(
     """Maximize F = q_den*n1_in - p_num*(n0_in + n1) over feasible groupings.
 
     incumbent_F, when given, must be the value of a grouping the caller
-    already holds; only strictly better groupings are returned
-    (solution=None means the incumbent stands and best_F == incumbent_F).
-    Unless a budget stops the search, the returned maximum is exact whatever
-    its sign. `prune=False` disables the bound prune (full enumeration).
+    already holds. The search then returns the first grouping it reaches
+    whose F beats incumbent_F, which need not be the maximum, with best_F
+    its F; solution=None means that no grouping beats it (proven unless a
+    budget stopped the search) and best_F == incumbent_F. Without
+    incumbent_F, and unless a budget stops the search, the returned maximum
+    is exact whatever its sign. `prune=False` disables the bound prune.
     """
     deadline = time.monotonic() + time_limit if time_limit is not None else None
     w = make_weights(inst, lam)
@@ -211,8 +219,7 @@ def solve_subproblem(
     order = sorted(range(inst.m), key=lambda i: (-int(inst.matrix[i].sum()), i))
 
     best_F, best_m, best_p, stats, truncated = _search(
-        w, order, c_max, no_res, lam.num * inst.n1,
-        _NEG_INF if incumbent_F is None else incumbent_F,
+        w, order, c_max, no_res, lam.num * inst.n1, incumbent_F,
         node_limit, deadline, prune,
     )
 
@@ -227,8 +234,8 @@ def solve_subproblem(
     return SubproblemResult(int(best_F), solution, truncated, stats)
 
 
-def _search(w, order, c_max, no_res, const, best_F0, node_limit, deadline,
-            prune):
+def _search(w, order, c_max, no_res, const, incumbent_F, node_limit,
+            deadline, prune):
     m, p = w.shape
     wo = w[order]
     pos_row = np.maximum(wo, 0).sum(axis=1)
@@ -243,7 +250,7 @@ def _search(w, order, c_max, no_res, const, best_F0, node_limit, deadline,
     opened = [0] * m
     bounds = [None] * m
 
-    best_F = best_F0
+    best_F = _NEG_INF if incumbent_F is None else incumbent_F
     best_m = best_p = None
     nodes = leaves = pruned_bound = max_depth = max_cells = 0
     truncated = False
@@ -298,6 +305,8 @@ def _search(w, order, c_max, no_res, const, best_F0, node_limit, deadline,
                 for t in range(m):
                     best_m[order[t]] = trying[t] + 1
                 best_p = plabels.copy()
+                if incumbent_F is not None:  # beats the incumbent: done
+                    break
             continue
 
         cell_sums[c] += wo[d]

@@ -110,8 +110,9 @@ def _solve_report(inst, out, seed_ms: int) -> str:
 def _lp_subsolver(lp_dir: Path, stem: str):
     """Manual loop: write one .lp per round, wait for a `name value`
     assignment file next to it, read the point back as the round's
-    exact maximizer. An answer below incumbent_F is no maximum, so it
-    raises RuntimeError."""
+    answer. An improving answer need only beat incumbent_F, but one at
+    F = 0 is taken as the proof, so it must be a true maximum. An answer
+    below incumbent_F raises RuntimeError."""
     counter = {"round": 0}
 
     def run(inst, lam, regime, incumbent_F, time_limit, node_limit

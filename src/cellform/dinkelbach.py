@@ -1,17 +1,18 @@
 """Parametric outer loop: exact efficacy maximization via repeated subproblems.
 
-Each round solves max F(lambda) = q*n1_in - p*(n0_in + n1) at the current
-ratio lambda = p/q. A positive maximum yields a strictly better grouping
-whose efficacy becomes the next lambda (kept as the unreduced pair straight
-from the counts); a zero maximum certifies the incumbent optimal. Seeding
-above the optimum makes the first maximum negative, in which case the
-argmax ratio restarts the loop from below. Every lambda after the first
-improvement step is the efficacy of a real grouping, so the sequence is
-strictly increasing and finite.
-
-Once an incumbent exists its value 0 is passed down as the baseline, so the
-subproblem only has to look for strict improvements - that is where the
-bound prune gets its teeth.
+Each round solves the subproblem F(lambda) = q*n1_in - p*(n0_in + n1) at
+the current ratio lambda = p/q. Once an incumbent exists its value 0 is
+passed down as the baseline, and the subproblem returns the first grouping
+it finds with F > 0 rather than the maximum: one such grouping is enough to
+raise lambda strictly (Dinkelbach 1967). The loop polishes every grouping a
+round returns with the heuristic climb, under what is left of the time
+limit, and the polished grouping's efficacy (kept as the unreduced pair
+straight from the counts) becomes the next lambda. A round in which nothing
+beats the baseline, or whose answer scores exactly F = 0, certifies the
+incumbent optimal; that last round is a full search. Seeding above the
+optimum makes the first maximum negative, in which case the argmax
+restarts the loop from below. Every lambda after the first is the efficacy
+of a real grouping, so the sequence is strictly increasing and finite.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .bnb import solve_subproblem
+from .heuristic import climb
 from .instances import Instance
 from .rational import Ratio
 from .solutions import (Regime, Solution, canonicalize, efficacy,
@@ -48,6 +50,8 @@ class IterationRecord:
     time_ms: int
     leaves: int
     pruned: int  # nodes cut by the bound
+    polish_ms: int  # wall time of the climb from the round's grouping
+    polished: Ratio | None  # the climb's efficacy; None without a grouping
 
 
 @dataclass
@@ -120,9 +124,12 @@ def solve(
     clock stops as TimeLimit.
     subsolver replaces bnb.solve_subproblem and is called with the same
     positional arguments: (inst, lam, regime, incumbent_F, time_limit,
-    node_limit).
+    node_limit). Given incumbent_F, an answer need only beat it; an answer
+    with F == 0 is taken as the proof, so it must be a true maximum. Every
+    grouping a subsolver returns is polished with the heuristic climb.
     """
     t0 = time.monotonic()
+    deadline = None if time_limit is None else t0 + time_limit
     if seed_lambda is not None and seed_lambda > 1:
         raise ValueError(f"efficacy cannot exceed 1, got {seed_lambda}")
     if subsolver is None:
@@ -155,35 +162,42 @@ def solve(
         st = res.stats
         total_nodes += st.nodes
         F = res.best_F if res.best_F is not None else 0
+        polish_ms, polished = 0, None
+        if res.solution is not None:
+            polish_t0 = time.monotonic()
+            # the climb's result is never worse than the round's grouping
+            incumbent = canonicalize(climb(inst, res.solution.machine_cell,
+                                           regime, deadline))
+            polished = raw_ratio(inst, incumbent)
+            polish_ms = int(round((time.monotonic() - polish_t0) * 1000))
         rec = IterationRecord(rounds, lam, F, st.nodes, int(round(it_s * 1000)),
-                              st.leaves, st.pruned_bound)
+                              st.leaves, st.pruned_bound, polish_ms, polished)
         history.append(rec)
         log.info("iter=%d lambda=%s F=%d nodes=%d leaves=%d pruned=%d "
-                 "nodes_per_s=%d time_ms=%d", rounds, lam, F, rec.nodes,
-                 rec.leaves, rec.pruned, rec.nodes / it_s if it_s > 0 else 0,
-                 rec.time_ms)
+                 "nodes_per_s=%d time_ms=%d polish_ms=%d polished=%s",
+                 rounds, lam, F, rec.nodes, rec.leaves, rec.pruned,
+                 rec.nodes / it_s if it_s > 0 else 0, rec.time_ms,
+                 rec.polish_ms, "-" if polished is None else polished)
 
-        if res.solution is not None:
-            incumbent = res.solution
-            next_lam = raw_ratio(inst, incumbent)
         if res.truncated:
             if node_limit is not None and res.stats.nodes >= node_limit:
                 status = SolveStatus.NODE_LIMIT
             break
         if res.solution is None:
-            # Exact maximum equals the baseline: either the incumbent's 0
+            # Nothing beats the baseline: either the incumbent's 0
             # (optimality certificate) or, with no incumbent, an empty
             # search on a degenerate budget - handled below.
             if incumbent is not None:
                 status = SolveStatus.OPTIMAL
             break
         if F == 0:
-            # Seeded exactly at the optimum: the argmax attains lambda.
+            # The round's maximum attains lambda: seeded exactly at the
+            # optimum, or an external answer at the incumbent's 0.
             status = SolveStatus.OPTIMAL
             break
         # F > 0 improves; F < 0 (seed above optimum) restarts from the
-        # argmax ratio. Both continue from the new incumbent's pair.
-        lam = next_lam
+        # argmax ratio. Both continue from the polished incumbent's pair.
+        lam = polished
 
     if incumbent is None:
         incumbent = trivial_solution(inst)

@@ -1,5 +1,6 @@
 """Multi-start local search over machine partitions, used to seed the
-parametric solver with a good starting ratio.
+parametric solver with a good starting ratio; its climb also polishes the
+grouping each improving round of that solver returns.
 
 Part placement is kept optimal for the machine grouping at hand (the
 part side separates once machines are fixed), so the neighborhood
@@ -196,10 +197,13 @@ def _moves(inst: Instance, sol: Solution, cap: int, deadline: float | None):
                 yield batch
 
 
-def _climb(inst: Instance, machine_cell: list[int], regime: Regime,
-           deadline: float | None) -> Solution:
-    """Move to the best improving grouping of the first batch that has one
-    until no batch improves or the deadline passes."""
+def climb(inst: Instance, machine_cell: list[int], regime: Regime,
+          deadline: float | None) -> Solution:
+    """Local search from a machine grouping (labels 1..k, 0 = residual):
+    place its parts optimally, then move to the best improving grouping of
+    the first batch that has one until no batch improves or the monotonic
+    deadline (None = none) passes. The result is never worse than the best
+    placement of the parts for machine_cell."""
     cap = label_cap(inst, regime)
     sol = fit_parts(inst, machine_cell, regime)
     while True:
@@ -244,7 +248,7 @@ def heuristic_solve(inst: Instance, cfg: SearchConfig) -> Solution:
             break
         k = rng.randint(1, kmax)
         cells = _random_machine_cells(inst.m, k, rng)
-        sol = _climb(inst, cells, regime, deadline)
+        sol = climb(inst, cells, regime, deadline)
         if best is None or sol.efficacy > best.efficacy:
             best = sol
     best = canonicalize(best)

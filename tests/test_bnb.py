@@ -329,23 +329,24 @@ def test_reference_instance_anchor(ref_instance):
 
 # (generator args, regime, lambda, (nodes, leaves, pruned_bound, pruned_void,
 # max_depth, max_cells)) with the incumbent baseline at 0; each instance at
-# the ratio of its planted grouping and at its optimum
+# the ratio of its planted grouping, where the search stops at its first
+# leaf with F > 0, and at its optimum, where it proves that none exists
 PINNED_COUNTS = [
-    ((1, 8, 10, 3, .7, .15), "no-residual", "17/32", (157, 11, 105, 0, 8, 6)),
+    ((1, 8, 10, 3, .7, .15), "no-residual", "17/32", (29, 3, 15, 0, 8, 4)),
     ((1, 8, 10, 3, .7, .15), "no-residual", "16/24", (76, 0, 56, 0, 8, 6)),
-    ((1, 8, 10, 3, .7, .15), "allow-residual", "15/28", (131, 5, 91, 0, 8, 6)),
+    ((1, 8, 10, 3, .7, .15), "allow-residual", "15/28", (29, 1, 17, 0, 8, 4)),
     ((1, 8, 10, 3, .7, .15), "allow-residual", "16/24", (76, 0, 56, 0, 8, 6)),
-    ((2, 9, 12, 3, .7, .15), "no-residual", "22/43", (930, 12, 695, 0, 9, 6)),
+    ((2, 9, 12, 3, .7, .15), "no-residual", "22/43", (197, 5, 134, 0, 9, 5)),
     ((2, 9, 12, 3, .7, .15), "no-residual", "23/35", (292, 2, 223, 0, 9, 6)),
-    ((2, 9, 12, 3, .7, .15), "allow-residual", "16/31", (705, 5, 530, 0, 9, 6)),
+    ((2, 9, 12, 3, .7, .15), "allow-residual", "16/31", (20, 1, 8, 0, 9, 3)),
     ((2, 9, 12, 3, .7, .15), "allow-residual", "22/33", (228, 0, 174, 0, 9, 6)),
-    ((3, 10, 12, 4, .7, .12), "no-residual", "21/37", (1615, 25, 1234, 0, 10, 7)),
+    ((3, 10, 12, 4, .7, .12), "no-residual", "21/37", (386, 4, 284, 0, 10, 6)),
     ((3, 10, 12, 4, .7, .12), "no-residual", "20/32", (835, 2, 645, 0, 10, 7)),
-    ((3, 10, 12, 4, .7, .12), "allow-residual", "21/35", (900, 4, 687, 0, 10, 7)),
+    ((3, 10, 12, 4, .7, .12), "allow-residual", "21/35", (383, 1, 280, 0, 10, 6)),
     ((3, 10, 12, 4, .7, .12), "allow-residual", "20/31", (584, 0, 447, 0, 10, 6)),
-    ((4, 10, 14, 4, .65, .15), "no-residual", "27/50", (3154, 11, 2478, 0, 10, 7)),
+    ((4, 10, 14, 4, .65, .15), "no-residual", "27/50", (544, 1, 416, 0, 10, 7)),
     ((4, 10, 14, 4, .65, .15), "no-residual", "24/41", (1921, 0, 1508, 0, 10, 7)),
-    ((4, 10, 14, 4, .65, .15), "allow-residual", "26/48", (3124, 8, 2457, 0, 10, 7)),
+    ((4, 10, 14, 4, .65, .15), "allow-residual", "26/48", (514, 1, 392, 0, 10, 7)),
     ((4, 10, 14, 4, .65, .15), "allow-residual", "24/41", (1921, 0, 1508, 0, 10, 7)),
 ]
 
@@ -371,6 +372,42 @@ def test_incumbent_baseline_suppresses_equal_solutions(ref_instance):
     res = solve_subproblem(ref_instance, Ratio(15, 24), Regime.NO_RESIDUAL,
                            incumbent_F=0)
     assert res.best_F == 39 and res.solution is not None
+
+
+def test_incumbent_answer_beats_it_and_never_the_maximum():
+    # given incumbent_F the search returns its first better leaf: a real
+    # grouping scoring best_F, above incumbent_F and at most the maximum
+    rng = random.Random(81)
+    answered = below = 0
+    for trial in range(30):
+        if trial % 3:
+            inst = random_instance(rng, rng.randrange(3, 8),
+                                   rng.randrange(3, 9), rng.choice((.3, .5)))
+        else:
+            inst, _ = planted_instance(trial, 9, 12, 3, .7, .15)
+        lam = rng.choice(LAMBDAS[:-1])
+        for regime in Regime:
+            exact = solve_subproblem(inst, lam, regime).best_F
+            # the values of groupings a caller could hold: the one-cell
+            # grouping, and a few below and at the maximum
+            one_cell = leaf_F(inst, lam, [1] * inst.m, [1] * inst.p)
+            for incumbent_F in {one_cell, 0, exact - 1, exact}:
+                res = solve_subproblem(inst, lam, regime,
+                                       incumbent_F=incumbent_F)
+                where = (inst.a, str(lam), regime, incumbent_F)
+                assert not res.truncated
+                if incumbent_F >= exact:
+                    assert res.solution is None, where
+                    assert res.best_F == incumbent_F, where
+                    continue
+                sol = res.solution
+                assert check_feasible(inst, sol, regime)[0], where
+                F = leaf_F(inst, lam, sol.machine_cell, sol.part_cell)
+                assert F == res.best_F, where
+                assert incumbent_F < F <= exact, where
+                answered += 1
+                below += F < exact
+    assert answered >= 100 and below >= 20, (answered, below)
 
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}

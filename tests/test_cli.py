@@ -12,6 +12,7 @@ import pytest
 from cellform.bnb import solve_subproblem
 from cellform.cli import main
 from cellform.dinkelbach import raw_ratio, trivial_solution
+from cellform.heuristic import climb
 from cellform.instances import load_instance, write_instance
 from cellform.model import encode
 from cellform.rational import Ratio
@@ -259,7 +260,8 @@ def test_solve_lp_export_backend(inst_file, ref_instance, tmp_path,
     lp_dir = tmp_path / "rounds"
     lp_dir.mkdir()
     # play the external solver up front: the zero-seeded trajectory is
-    # deterministic, so every round's assignment can be precomputed
+    # deterministic, so every round's assignment can be precomputed; the
+    # loop polishes each answer with the climb before it sets the next ratio
     lam = Ratio(0, 1)
     rounds = 0
     while True:
@@ -269,7 +271,9 @@ def test_solve_lp_export_backend(inst_file, ref_instance, tmp_path,
                          res.solution)
         if res.best_F == 0:
             break
-        lam = raw_ratio(ref_instance, res.solution)
+        lam = raw_ratio(ref_instance, climb(ref_instance,
+                                            res.solution.machine_cell,
+                                            Regime.NO_RESIDUAL, None))
 
     monkeypatch.setattr("sys.stdin", io.StringIO("\n" * (rounds + 1)))
     out_path = tmp_path / "lp.sol"

@@ -3,6 +3,8 @@ import random
 import time
 from fractions import Fraction
 
+import cellform
+from cellform import dinkelbach
 from cellform.bnb import solve_subproblem
 from cellform.dinkelbach import (
     SolveStatus,
@@ -12,11 +14,13 @@ from cellform.dinkelbach import (
     solve,
     trivial_solution,
 )
+from cellform.heuristic import SearchConfig, climb, fit_parts, heuristic_solve
+from cellform.instances import Instance
 from cellform.oracle import oracle_solve
 from cellform.rational import Ratio
 from cellform.solutions import Regime, Solution, check_feasible
 
-from helpers import random_instance
+from helpers import planted_instance, random_instance
 
 
 def test_trivial_solution(ref_instance):
@@ -47,9 +51,19 @@ def test_zero_seed_carries_raw_pairs(ref_instance):
     out = solve(ref_instance, Regime.NO_RESIDUAL, seed_lambda=Ratio(0, 1))
     assert out.status is SolveStatus.OPTIMAL
     assert out.solution.efficacy == Ratio(16, 23)
-    # iteration 2 runs at the single-cell cover's unreduced pair, 20/35
+    # round 1's argmax at 0/1 is the single-cell cover (20/35); the climb
+    # polishes it to the optimum, whose pair is already in lowest terms
+    assert [(r.lam.num, r.lam.den) for r in out.history] == [(0, 1), (16, 23)]
+    # one cell of all 3 machines and parts 2, 4, 5 holds all 6 ones and 3
+    # voids: round 2 runs at the unreduced 6/9, not 2/3
+    tri = Instance("tri", 3, 5, ((0, 0, 0, 1, 1), (0, 1, 0, 0, 1),
+                                 (0, 1, 0, 1, 0)))
+    out = solve(tri, Regime.ALLOW_RESIDUAL, seed_lambda=Ratio(0, 1))
+    assert out.status is SolveStatus.OPTIMAL
     second = out.history[1].lam
-    assert (second.num, second.den) == (20, 35)
+    assert (second.num, second.den) == (6, 9)
+    polished = out.history[0].polished
+    assert (polished.num, polished.den) == (6, 9)
 
 
 def test_seed_above_optimum_recovers(ref_instance):
@@ -152,6 +166,12 @@ def test_iteration_log_lines(ref_instance, two_cell, caplog):
     lines = [r.getMessage() for r in caplog.records]
     assert any(l.startswith("iter=1 lambda=15/24 F=39 nodes=") for l in lines)
     assert any(l.startswith("iter=2 lambda=16/23 F=0 nodes=") for l in lines)
+    # round 1's grouping is polished (to the optimum); the proof round
+    # returns none, so it has nothing to polish
+    assert out.history[0].polished == Ratio(16, 23)
+    assert out.history[1].polished is None and out.history[1].polish_ms == 0
+    assert lines[0].endswith(" polished=16/23")
+    assert lines[1].endswith(" polish_ms=0 polished=-")
     # the search counters of each round reach its record and its log line
     for rec, line in zip(out.history, lines):
         st = solve_subproblem(ref_instance, rec.lam, Regime.NO_RESIDUAL,
@@ -162,4 +182,140 @@ def test_iteration_log_lines(ref_instance, two_cell, caplog):
         assert fields["leaves"] == str(rec.leaves)
         assert fields["pruned"] == str(rec.pruned)
         assert int(fields["nodes_per_s"]) >= 0
+        assert fields["polish_ms"] == str(rec.polish_ms)
     assert out.history[0].leaves > 0 and out.history[0].pruned > 0
+
+
+# ------------------------------------------------- inexact rounds, polish
+
+
+def test_inexact_rounds_keep_the_optimum_and_raise_lambda(monkeypatch):
+    # every round's answer and its polish, seen from outside the loop
+    answers, polishes = [], []
+
+    def spy(inst, lam, regime, incumbent_F, time_limit, node_limit):
+        res = solve_subproblem(inst, lam, regime, incumbent_F=incumbent_F,
+                               time_limit=time_limit, node_limit=node_limit)
+        answers.append(res.solution)
+        return res
+
+    def spy_climb(inst, machine_cell, regime, deadline):
+        sol = climb(inst, machine_cell, regime, deadline)
+        polishes.append(sol)
+        return sol
+
+    monkeypatch.setattr(dinkelbach, "climb", spy_climb)
+    rng = random.Random(71)
+    for trial in range(10):
+        inst = random_instance(rng, rng.randrange(3, 7), rng.randrange(3, 8),
+                               rng.choice((0.3, 0.5, 0.7)), name=f"p{trial}")
+        for regime in Regime:
+            opt = oracle_solve(inst, regime).efficacy
+            seeds = {"none": {}, "zero": {"seed_lambda": Ratio(0, 1)},
+                     "ratio": {"seed_lambda": rng.choice(
+                         (Ratio(1, 3), Ratio(1, 2), Ratio(9, 10)))},
+                     "heuristic": {"seed_solution": heuristic_solve(
+                         inst, SearchConfig(regime, restarts=2,
+                                            rng_seed=trial))}}
+            for name, seed in seeds.items():
+                answers.clear()
+                polishes.clear()
+                out = solve(inst, regime, subsolver=spy, **seed)
+                where = (inst.a, regime, name)
+                assert out.status is SolveStatus.OPTIMAL, where
+                assert out.solution.efficacy == opt, where
+                for a, b in zip(out.history, out.history[1:]):
+                    if a.F > 0:
+                        assert b.lam > a.lam, where
+                # every round that returned a grouping was polished, and
+                # the polish never lost to it
+                returned = [sol for sol in answers if sol is not None]
+                assert len(polishes) == len(returned), where
+                for sol, polished in zip(returned, polishes):
+                    assert polished.efficacy >= sol.efficacy, where
+                # each later lambda is the raw pair of a feasible grouping:
+                # the polish of the round before it
+                for rec, nxt, polished in zip(out.history, out.history[1:],
+                                              polishes):
+                    assert check_feasible(inst, polished, regime)[0], where
+                    assert (nxt.lam.num, nxt.lam.den) == (
+                        polished.n1_in, inst.n1 + polished.n0_in), where
+                    assert rec.polished == nxt.lam, where
+
+
+def _keyword_subsolver(inst, lam, regime, incumbent_F, time_limit,
+                       node_limit):
+    """Built like the benchmark tracer's hook: the package's
+    solve_subproblem, with the four budget arguments as keywords."""
+    return cellform.solve_subproblem(
+        inst, lam, regime, incumbent_F=incumbent_F, time_limit=time_limit,
+        node_limit=node_limit)
+
+
+def test_keyword_subsolver_matches_the_default_path():
+    # the traced benchmark calls the subproblem through the subsolver hook,
+    # so that path must run the same rounds as the default one
+    for gen in ((5, 10, 15, 4, .7, .12), (6, 10, 15, 4, .7, .12),
+                (7, 12, 18, 4, .6, .15)):
+        inst, planted = planted_instance(*gen)
+        for regime in Regime:
+            for node_limit in (None, 500):
+                seed = fit_parts(inst, planted, regime)
+                runs = [solve(inst, regime, seed_solution=seed,
+                              node_limit=node_limit, subsolver=sub)
+                        for sub in (None, _keyword_subsolver)]
+                default, traced = (
+                    [(r.lam.num, r.lam.den, r.F, r.nodes, r.leaves, r.pruned,
+                      r.polished) for r in out.history] for out in runs)
+                assert default == traced, (gen, regime, node_limit)
+                assert runs[0].status is runs[1].status
+                assert (runs[0].solution.machine_cell
+                        == runs[1].solution.machine_cell)
+
+
+def test_climb_past_its_deadline_only_places_the_parts():
+    inst, planted = planted_instance(0, 20, 30, 6, .8, .08)
+    one_cell = [1] * inst.m
+    for regime in Regime:
+        sol = climb(inst, one_cell, regime, time.monotonic())
+        assert sol == fit_parts(inst, one_cell, regime)
+        assert climb(inst, one_cell, regime, None).efficacy > sol.efficacy
+
+
+def test_time_limit_holds_through_the_polish(monkeypatch):
+    # seeded far below the optimum, the solve runs improving rounds and
+    # their polishes until the clock stops a round
+    deadlines = []
+
+    def spy_climb(inst, machine_cell, regime, deadline):
+        deadlines.append(deadline)
+        return climb(inst, machine_cell, regime, deadline)
+
+    monkeypatch.setattr(dinkelbach, "climb", spy_climb)
+    inst, _ = planted_instance(0, 20, 30, 6, .8, .08)
+    for regime in Regime:
+        seed = trivial_solution(inst)
+        deadlines.clear()
+        t0 = time.monotonic()
+        out = solve(inst, regime, seed_solution=seed, time_limit=1.0)
+        elapsed = time.monotonic() - t0
+        assert elapsed < 1.5, elapsed
+        assert out.status is SolveStatus.TIME_LIMIT
+        assert out.solution.efficacy > seed.efficacy
+        assert any(rec.polished is not None for rec in out.history)
+        # every polish ran under the solve's own deadline, which is 1 s
+        # after the solve started
+        assert deadlines
+        assert all(t0 + 1.0 <= d <= t0 + elapsed + 1.0 for d in deadlines), (
+            t0, elapsed, deadlines)
+
+
+def test_node_limit_still_ends_a_round():
+    inst, planted = planted_instance(0, 20, 30, 6, .8, .08)
+    for regime in Regime:
+        seed = fit_parts(inst, planted, regime)
+        out = solve(inst, regime, seed_solution=seed, node_limit=2000)
+        assert out.status is SolveStatus.NODE_LIMIT
+        assert out.history[-1].nodes == 2000
+        assert all(rec.nodes <= 2000 for rec in out.history)
+        assert out.solution.efficacy >= seed.efficacy
