@@ -14,17 +14,26 @@ ordered densest-first. Its only prune is a child's bound, which lets every
 part pick its best cell while every unassigned machine contributes all of
 its positive weights; child_bounds scores all children of a node (the
 machine joins each open cell, or opens a new one) in one numpy step when
-the search descends into the node, so its children are then visited with
-scalar compares only. A machine's row enters the cell sums only when the
-search descends through it; pruned children and leaves build their sums on
-demand. The search is a single depth-first loop over an explicit label
-stack in plain Python and numpy.
+the search enters the node. The children whose bound cannot beat the
+threshold are cut right there, counted as nodes and prunes in one step and
+never walked; the rest are visited best bound first, ties in label order.
+A machine's row enters the cell sums only when the search descends through
+it; leaves build their sums on demand. The search is a single depth-first
+loop over an explicit stack in plain Python and numpy.
 
 Given an incumbent value, the search stops at the first leaf that beats it:
 the Dinkelbach loop needs only one grouping with F > 0 to raise its ratio,
 not the round's maximum. A search that finds no such leaf has visited or
 pruned every node, so its "nothing beats the incumbent" is a proof. Without
 an incumbent the search returns the exact maximum.
+
+A Tree keeps that search between runs, so one depth-first search serves a
+whole Dinkelbach solve: each run rebuilds the weights at its raised lambda,
+re-bounds the nodes on the stack and resumes where the last run stopped.
+That is exact because every bound, and every leaf's F, scaled by 1/q_den is
+a sum of terms that do not increase in lambda: a child pruned at bound <= 0
+stays pruned, and a leaf passed at F <= 0 stays below, at any higher ratio.
+So a run that completes proves that nothing beats its lambda.
 """
 
 from __future__ import annotations
@@ -202,7 +211,8 @@ def solve_subproblem(
     node_limit: int | None = None,
     prune: bool = True,
 ) -> SubproblemResult:
-    """Maximize F = q_den*n1_in - p_num*(n0_in + n1) over feasible groupings.
+    """Maximize F = q_den*n1_in - p_num*(n0_in + n1) over feasible groupings:
+    one run of a fresh Tree.
 
     incumbent_F, when given, must be the value of a grouping the caller
     already holds. The search then returns the first grouping it reaches
@@ -212,107 +222,189 @@ def solve_subproblem(
     incumbent_F, and unless a budget stops the search, the returned maximum
     is exact whatever its sign. `prune=False` disables the bound prune.
     """
-    deadline = time.monotonic() + time_limit if time_limit is not None else None
-    w = make_weights(inst, lam)
-    no_res = regime is Regime.NO_RESIDUAL
-    c_max = label_cap(inst, regime)
-    order = sorted(range(inst.m), key=lambda i: (-int(inst.matrix[i].sum()), i))
-
-    best_F, best_m, best_p, stats, truncated = _search(
-        w, order, c_max, no_res, lam.num * inst.n1, incumbent_F,
-        node_limit, deadline, prune,
-    )
-
-    solution = None
-    if best_m is not None:
-        machine_cell = [int(v) for v in best_m]
-        part_cell = [int(v) for v in best_p]
-        solution = canonicalize(Solution(max(machine_cell), machine_cell, part_cell))
-        efficacy(inst, solution)
-    if best_F <= _NEG_INF:
-        return SubproblemResult(None, None, truncated, stats)
-    return SubproblemResult(int(best_F), solution, truncated, stats)
+    return Tree(inst, regime, prune).run(lam, incumbent_F, time_limit,
+                                         node_limit)
 
 
-def _search(w, order, c_max, no_res, const, incumbent_F, node_limit,
-            deadline, prune):
-    m, p = w.shape
-    wo = w[order]
-    pos_row = np.maximum(wo, 0).sum(axis=1)
-    suffix = [0] * (m + 1)  # positive weight of the machines from depth d on
-    for d in range(m - 1, -1, -1):
-        suffix[d] = suffix[d + 1] + int(pos_row[d])
+class Tree:
+    """One depth-first search over the machine partitions of an instance,
+    run at a rising lambda.
 
-    # cells the search has descended through; rows past the open ones are 0
-    cell_sums = np.zeros((c_max, p), dtype=np.int64)
-    # per depth: the label tried, the node's open cells, its child bounds
-    trying = [-1] * m
-    opened = [0] * m
-    bounds = [None] * m
+    Each depth keeps the children of its node still to visit, in visiting
+    order, and a cursor into them. A run stops on the child it cannot
+    finish - the first leaf that beats incumbent_F, or the one a budget
+    stops at - and leaves it under the cursor, so the next run starts by
+    visiting it again, at that run's lambda.
+    """
 
-    best_F = _NEG_INF if incumbent_F is None else incumbent_F
-    best_m = best_p = None
-    nodes = leaves = pruned_bound = max_depth = max_cells = 0
-    truncated = False
-    d = 0
-    tick = 0
+    def __init__(self, inst: Instance, regime: Regime, prune: bool = True):
+        m = inst.m
+        self.inst = inst
+        self.no_res = regime is Regime.NO_RESIDUAL
+        self.c_max = label_cap(inst, regime)
+        self.prune = prune
+        self.order = sorted(range(m),
+                            key=lambda i: (-int(inst.matrix[i].sum()), i))
+        # cells the search has descended through; rows past the open ones are 0
+        self.cell_sums = np.zeros((self.c_max, inst.p), dtype=np.int64)
+        # per depth: the node's open cells, its child bounds, the children
+        # left to visit (None until the search enters the node), the cursor
+        # into them and the label tried
+        self.opened = [0] * m
+        self.bounds = [None] * m
+        self.kids = [None] * m
+        self.cursor = [0] * m
+        self.trying = [-1] * m
+        self.d = 0  # deepest node on the stack; -1 once the search is done
+        self.lam = None  # the last run's lambda
+        self.floor = None  # the last run's prune threshold at its end
 
-    while d >= 0:
-        k = opened[d]
-        c = trying[d] + 1
-        if c >= min(k + 1, c_max):
-            trying[d] = -1
-            d -= 1
-            if d >= 0:  # leave the parent's cell the way it was
-                cell_sums[trying[d]] -= wo[d]
-            continue
-        if c == 0 and prune:  # entering the node: score all its children
-            bounds[d] = child_bounds(cell_sums[:k], wo[d], suffix[d + 1],
-                                     const, c_max)
-        trying[d] = c
-        kc = k + 1 if c == k else k
+    def _weigh(self, lam: Ratio) -> None:
+        wo = make_weights(self.inst, lam)[self.order]
+        pos_row = np.maximum(wo, 0).sum(axis=1)
+        suffix = [0] * (len(wo) + 1)  # positive weight from depth d on
+        for d in range(len(wo) - 1, -1, -1):
+            suffix[d] = suffix[d + 1] + int(pos_row[d])
+        self.lam, self.wo, self.suffix = lam, wo, suffix
+        self.const = lam.num * self.inst.n1
 
-        depth = d + 1
-        nodes += 1
-        if depth > max_depth:
-            max_depth = depth
-        if kc > max_cells:
-            max_cells = kc
+    def _resume(self) -> None:
+        """Rebuild the cell sums of the stack at the new weights and re-bound
+        its nodes; the children left to visit are then checked against the
+        new bounds as the search reaches them."""
+        wo, cell_sums = self.wo, self.cell_sums
+        cell_sums[:] = 0
+        for t in range(self.d + 1):
+            if self.prune:
+                self.bounds[t] = child_bounds(
+                    cell_sums[:self.opened[t]], wo[t], self.suffix[t + 1],
+                    self.const, self.c_max)
+            if t < self.d:
+                cell_sums[self.trying[t]] += wo[t]
 
-        if node_limit is not None and nodes >= node_limit:
-            truncated = True
-            break
-        tick += 1
-        if deadline is not None and tick >= 1024:
-            tick = 0
-            if time.monotonic() > deadline:
+    def run(self, lam: Ratio, incumbent_F: int | None = None,
+            time_limit: float | None = None,
+            node_limit: int | None = None) -> SubproblemResult:
+        """Search at lam from where the last run stopped, as
+        solve_subproblem does from the root; time_limit and node_limit
+        bound this run. A tree that has run resumes only at a lambda no
+        lower than its last, from a last threshold <= 0 to an incumbent_F
+        >= 0: everything it pruned or passed then stays settled."""
+        resuming = self.lam is not None
+        if resuming and (lam < self.lam or self.floor > 0
+                         or incumbent_F is None or incumbent_F < 0):
+            raise ValueError(
+                f"cannot resume from lambda {self.lam} (threshold "
+                f"{self.floor}) at {lam} (incumbent_F {incumbent_F})")
+        self._weigh(lam)
+        if resuming:
+            self._resume()
+
+        deadline = (time.monotonic() + time_limit
+                    if time_limit is not None else None)
+        m, order = self.inst.m, self.order
+        wo, suffix, const = self.wo, self.suffix, self.const
+        c_max, no_res, prune = self.c_max, self.no_res, self.prune
+        cell_sums, opened, bounds = self.cell_sums, self.opened, self.bounds
+        kids, cursor, trying = self.kids, self.cursor, self.trying
+
+        best_F = _NEG_INF if incumbent_F is None else incumbent_F
+        best_m = best_p = None
+        nodes = leaves = pruned_bound = max_depth = max_cells = 0
+        truncated = False
+        d = self.d
+        tick = 0
+
+        while d >= 0:
+            k = opened[d]
+            todo = kids[d]
+            if todo is None:  # entering the node: cut, then sort its children
+                n = min(k + 1, c_max)
+                if prune:
+                    b = bounds[d] = child_bounds(cell_sums[:k], wo[d],
+                                                 suffix[d + 1], const, c_max)
+                    todo = [c for c in range(n) if b[c] > best_F]
+                    todo.sort(key=b.__getitem__, reverse=True)
+                else:
+                    todo = list(range(n))
+                kids[d] = todo
+                cursor[d] = 0
+                cut = n - len(todo)
+                if cut:  # counted in one step, never walked
+                    if node_limit is not None and nodes + cut >= node_limit:
+                        cut = node_limit - nodes
+                        truncated = True
+                    nodes += cut
+                    pruned_bound += cut
+                    if d + 1 > max_depth:
+                        max_depth = d + 1
+                    kc = k + 1 if k < c_max and b[k] <= best_F else k
+                    if kc > max_cells:
+                        max_cells = kc
+                    if truncated:
+                        break
+            i = cursor[d]
+            if i == len(todo):
+                kids[d] = None
+                d -= 1
+                if d >= 0:  # leave the parent's cell the way it was
+                    cell_sums[trying[d]] -= wo[d]
+                continue
+            c = todo[i]
+            kc = k + 1 if c == k else k
+
+            depth = d + 1
+            nodes += 1
+            if depth > max_depth:
+                max_depth = depth
+            if kc > max_cells:
+                max_cells = kc
+
+            if node_limit is not None and nodes >= node_limit:
                 truncated = True
                 break
-
-        if prune and bounds[d][c] <= best_F:
-            pruned_bound += 1
-            continue
-
-        if depth == m:
-            leaves += 1
-            sums = cell_sums[:kc].copy()
-            sums[c] += wo[d]
-            plabels, total = optimal_parts(sums, no_res)
-            F = total - const
-            if F > best_F:
-                best_F = F
-                best_m = np.empty(m, dtype=np.int64)
-                for t in range(m):
-                    best_m[order[t]] = trying[t] + 1
-                best_p = plabels.copy()
-                if incumbent_F is not None:  # beats the incumbent: done
+            tick += 1
+            if deadline is not None and tick >= 1024:
+                tick = 0
+                if time.monotonic() > deadline:
+                    truncated = True
                     break
-            continue
+            cursor[d] = i + 1
+            trying[d] = c
 
-        cell_sums[c] += wo[d]
-        d = depth
-        opened[d] = kc
+            if prune and bounds[d][c] <= best_F:
+                pruned_bound += 1
+                continue
 
-    stats = SubproblemStats(nodes, leaves, pruned_bound, max_depth=max_depth,
-                            max_cells=max_cells)
-    return best_F, best_m, best_p, stats, truncated
+            if depth == m:
+                leaves += 1
+                sums = cell_sums[:kc].copy()
+                sums[c] += wo[d]
+                plabels, total = optimal_parts(sums, no_res)
+                F = total - const
+                if F > best_F:
+                    best_F = F
+                    best_m = [0] * m
+                    for t in range(m):
+                        best_m[order[t]] = trying[t] + 1
+                    best_p = plabels.tolist()
+                    if incumbent_F is not None:  # beats the incumbent: stop
+                        cursor[d] = i
+                        break
+                continue
+
+            cell_sums[c] += wo[d]
+            d = depth
+            opened[d] = kc
+
+        self.d = d
+        self.floor = best_F if incumbent_F is None else incumbent_F
+        stats = SubproblemStats(nodes, leaves, pruned_bound,
+                                max_depth=max_depth, max_cells=max_cells)
+        solution = None
+        if best_m is not None:
+            solution = canonicalize(Solution(max(best_m), best_m, best_p))
+            efficacy(self.inst, solution)
+        if best_F <= _NEG_INF:
+            return SubproblemResult(None, None, truncated, stats)
+        return SubproblemResult(int(best_F), solution, truncated, stats)

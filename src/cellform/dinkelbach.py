@@ -1,18 +1,28 @@
 """Parametric outer loop: exact efficacy maximization via repeated subproblems.
 
-Each round solves the subproblem F(lambda) = q*n1_in - p*(n0_in + n1) at
-the current ratio lambda = p/q. Once an incumbent exists its value 0 is
-passed down as the baseline, and the subproblem returns the first grouping
-it finds with F > 0 rather than the maximum: one such grouping is enough to
-raise lambda strictly (Dinkelbach 1967). The loop polishes every grouping a
-round returns with the heuristic climb, under what is left of the time
-limit, and the polished grouping's efficacy (kept as the unreduced pair
-straight from the counts) becomes the next lambda. A round in which nothing
-beats the baseline, or whose answer scores exactly F = 0, certifies the
-incumbent optimal; that last round is a full search. Seeding above the
-optimum makes the first maximum negative, in which case the argmax
-restarts the loop from below. Every lambda after the first is the efficacy
-of a real grouping, so the sequence is strictly increasing and finite.
+Each round looks for a grouping with F(lambda) = q*n1_in - p*(n0_in + n1)
+> 0 at the current ratio lambda = p/q. Once an incumbent exists its value 0
+is the baseline, and the first grouping found with F > 0 is enough to raise
+lambda strictly (Dinkelbach 1967). The loop polishes every grouping a round
+returns with the heuristic climb, under what is left of the time limit, and
+the polished grouping's efficacy (kept as the unreduced pair straight from
+the counts) becomes the next lambda.
+
+By default a solve grows one bnb.Tree. A round without an incumbent (no
+seed, or a bare seed ratio) is a fresh full search for the maximum; from
+the first round with an incumbent on, every round resumes that one
+depth-first search at the raised lambda instead of restarting it from the
+root. That stays exact because every bound, and every leaf's F scaled by
+1/q, does not increase in lambda: what a round pruned or passed at F <= 0
+stays so at any higher ratio. The round in which the search completes
+without a leaf above 0 therefore proves the last lambda optimal, as does a
+full search whose maximum is exactly F = 0. Seeding above the optimum makes
+the first maximum negative, in which case the argmax restarts the loop from
+below. Every lambda after the first is the efficacy of a real grouping, so
+the sequence is strictly increasing and finite.
+
+A subsolver passed to solve replaces the tree with one call per round, each
+a search of its own at that round's lambda.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .bnb import solve_subproblem
+from .bnb import Tree, solve_subproblem
 from .heuristic import climb
 from .instances import Instance
 from .rational import Ratio
@@ -46,7 +56,7 @@ class IterationRecord:
     index: int
     lam: Ratio
     F: int
-    nodes: int
+    nodes: int  # visited and cut since the last raise of lambda
     time_ms: int
     leaves: int
     pruned: int  # nodes cut by the bound
@@ -103,6 +113,20 @@ def remaining(time_limit: float | None, t0: float) -> float | None:
     return max(0.0, time_limit - (time.monotonic() - t0))
 
 
+def _one_tree(inst: Instance, regime: Regime):
+    """The default subsolver: a fresh full search while the solve has no
+    incumbent, then one Tree that every later round resumes."""
+    tree = Tree(inst, regime)
+
+    def run(inst, lam, regime, incumbent_F, time_limit, node_limit):
+        if incumbent_F is None:
+            return solve_subproblem(inst, lam, regime, None, time_limit,
+                                    node_limit)
+        return tree.run(lam, incumbent_F, time_limit, node_limit)
+
+    return run
+
+
 def solve(
     inst: Instance,
     regime: Regime,
@@ -119,21 +143,22 @@ def solve(
     efficacy pair) and the incumbent; a bare seed_lambda only shifts the
     first round's ratio and may not exceed 1. With neither, the loop starts
     at 0/1. time_limit is a shared wall-clock budget in seconds; node_limit
-    applies per round.
-    A round the node budget stops ends the solve as NodeLimit, one the
-    clock stops as TimeLimit.
-    subsolver replaces bnb.solve_subproblem and is called with the same
-    positional arguments: (inst, lam, regime, incumbent_F, time_limit,
-    node_limit). Given incumbent_F, an answer need only beat it; an answer
-    with F == 0 is taken as the proof, so it must be a true maximum. Every
-    grouping a subsolver returns is polished with the heuristic climb.
+    caps the nodes of the whole solve, and each round gets what the rounds
+    before it left. A round the node budget stops ends the solve as
+    NodeLimit, one the clock stops as TimeLimit.
+    subsolver replaces the solve's one search tree with one call per round,
+    with the positional arguments of bnb.solve_subproblem: (inst, lam,
+    regime, incumbent_F, time_limit, node_limit). Given incumbent_F, an
+    answer need only beat it; an answer with F == 0 is taken as the proof,
+    so it must be a true maximum. Every grouping a subsolver returns is
+    polished with the heuristic climb.
     """
     t0 = time.monotonic()
     deadline = None if time_limit is None else t0 + time_limit
     if seed_lambda is not None and seed_lambda > 1:
         raise ValueError(f"efficacy cannot exceed 1, got {seed_lambda}")
     if subsolver is None:
-        subsolver = solve_subproblem
+        subsolver = _one_tree(inst, regime)
 
     incumbent: Solution | None = None
     if seed_solution is not None:
@@ -153,11 +178,12 @@ def solve(
         left = remaining(time_limit, t0)
         if left is not None and left <= 0:
             break
+        budget = None if node_limit is None else node_limit - total_nodes
         rounds += 1
         it_t0 = time.monotonic()
         res = subsolver(inst, lam, regime,
                         0 if incumbent is not None else None,
-                        left, node_limit)
+                        left, budget)
         it_s = time.monotonic() - it_t0
         st = res.stats
         total_nodes += st.nodes
@@ -180,7 +206,7 @@ def solve(
                  rec.polish_ms, "-" if polished is None else polished)
 
         if res.truncated:
-            if node_limit is not None and res.stats.nodes >= node_limit:
+            if node_limit is not None and total_nodes >= node_limit:
                 status = SolveStatus.NODE_LIMIT
             break
         if res.solution is None:

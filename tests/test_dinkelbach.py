@@ -172,18 +172,25 @@ def test_iteration_log_lines(ref_instance, two_cell, caplog):
     assert out.history[1].polished is None and out.history[1].polish_ms == 0
     assert lines[0].endswith(" polished=16/23")
     assert lines[1].endswith(" polish_ms=0 polished=-")
-    # the search counters of each round reach its record and its log line
+    # each log line carries its round's record, and the records add up to
+    # the solve: round 2 resumes round 1's tree, so it is no fresh search
+    assert len(lines) == len(out.history)
     for rec, line in zip(out.history, lines):
-        st = solve_subproblem(ref_instance, rec.lam, Regime.NO_RESIDUAL,
-                              incumbent_F=0).stats
-        assert (rec.nodes, rec.leaves, rec.pruned) == (
-            st.nodes, st.leaves, st.pruned_bound)
         fields = dict(kv.split("=") for kv in line.split())
+        assert fields["iter"] == str(rec.index)
+        assert fields["lambda"] == str(rec.lam)
+        assert fields["F"] == str(rec.F)
+        assert fields["nodes"] == str(rec.nodes)
         assert fields["leaves"] == str(rec.leaves)
         assert fields["pruned"] == str(rec.pruned)
         assert int(fields["nodes_per_s"]) >= 0
+        assert fields["time_ms"] == str(rec.time_ms)
         assert fields["polish_ms"] == str(rec.polish_ms)
-    assert out.history[0].leaves > 0 and out.history[0].pruned > 0
+    assert sum(rec.nodes for rec in out.history) == out.nodes
+    # round 1 dives best bound first and walks 5 nodes to its leaf; the 2
+    # children it cut on the way count as nodes and prunes at once
+    first = out.history[0]
+    assert (first.nodes, first.leaves, first.pruned) == (7, 1, 2)
 
 
 # ------------------------------------------------- inexact rounds, polish
@@ -252,25 +259,30 @@ def _keyword_subsolver(inst, lam, regime, incumbent_F, time_limit,
         node_limit=node_limit)
 
 
-def test_keyword_subsolver_matches_the_default_path():
+def test_keyword_subsolver_and_the_tree_keep_the_same_contract():
     # the traced benchmark calls the subproblem through the subsolver hook,
-    # so that path must run the same rounds as the default one
+    # one fresh search per round, while the default path resumes one tree:
+    # their rounds differ, but not the optimum, the budget or the seed
     for gen in ((5, 10, 15, 4, .7, .12), (6, 10, 15, 4, .7, .12),
                 (7, 12, 18, 4, .6, .15)):
         inst, planted = planted_instance(*gen)
         for regime in Regime:
+            seed = fit_parts(inst, planted, regime)
             for node_limit in (None, 500):
-                seed = fit_parts(inst, planted, regime)
                 runs = [solve(inst, regime, seed_solution=seed,
                               node_limit=node_limit, subsolver=sub)
                         for sub in (None, _keyword_subsolver)]
-                default, traced = (
-                    [(r.lam.num, r.lam.den, r.F, r.nodes, r.leaves, r.pruned,
-                      r.polished) for r in out.history] for out in runs)
-                assert default == traced, (gen, regime, node_limit)
-                assert runs[0].status is runs[1].status
-                assert (runs[0].solution.machine_cell
-                        == runs[1].solution.machine_cell)
+                where = (gen, regime, node_limit)
+                for out in runs:
+                    assert out.solution.efficacy >= seed.efficacy, where
+                    assert out.nodes == sum(r.nodes for r in out.history)
+                    if node_limit is not None:
+                        assert out.nodes <= node_limit, where
+                if node_limit is None:
+                    assert runs[0].status is SolveStatus.OPTIMAL, where
+                    assert runs[1].status is SolveStatus.OPTIMAL, where
+                    assert (runs[0].solution.efficacy
+                            == runs[1].solution.efficacy), where
 
 
 def test_climb_past_its_deadline_only_places_the_parts():
@@ -311,11 +323,57 @@ def test_time_limit_holds_through_the_polish(monkeypatch):
 
 
 def test_node_limit_still_ends_a_round():
+    # the budget is the whole solve's: the round that exhausts it ends the
+    # solve at exactly node_limit nodes over all its rounds
     inst, planted = planted_instance(0, 20, 30, 6, .8, .08)
     for regime in Regime:
         seed = fit_parts(inst, planted, regime)
         out = solve(inst, regime, seed_solution=seed, node_limit=2000)
         assert out.status is SolveStatus.NODE_LIMIT
-        assert out.history[-1].nodes == 2000
-        assert all(rec.nodes <= 2000 for rec in out.history)
+        assert out.nodes == 2000
+        assert sum(rec.nodes for rec in out.history) == out.nodes
         assert out.solution.efficacy >= seed.efficacy
+
+
+def test_solve_matches_the_oracle_on_random_instances():
+    # the resumed tree proves the same optima as brute force, from a
+    # one-cell seed (the tree from round 1) and unseeded (a full search
+    # first, then the tree); shapes up to 6x6 and 5x7, since the oracle
+    # alone takes seconds on a 6x7 in allow-residual
+    rng = random.Random(101)
+    for trial in range(40):
+        m = rng.randrange(2, 7)
+        p = rng.randrange(2, 7 if m == 6 else 8)
+        inst = random_instance(rng, m, p, rng.choice((0.3, 0.5, 0.7)),
+                               name=f"o{trial}")
+        for regime in Regime:
+            opt = oracle_solve(inst, regime).efficacy
+            for seed in (trivial_solution(inst), None):
+                out = solve(inst, regime, seed_solution=seed)
+                where = (inst.a, regime, seed is None)
+                assert out.status is SolveStatus.OPTIMAL, where
+                assert out.solution.efficacy == opt, where
+                assert check_feasible(inst, out.solution, regime)[0], where
+
+
+def test_planted_solves_are_pinned():
+    # the shape of the benchmark's proof-planted ops: a planted seed on a
+    # noisy 10x15/k4, run to a proof; the total nodes are machine-independent
+    want_optima = {
+        Regime.NO_RESIDUAL: ["7/12", "31/48", "26/41", "27/46", "14/25",
+                             "11/18", "2/3", "30/47", "9/14", "36/61"],
+        Regime.ALLOW_RESIDUAL: ["7/12", "31/48", "26/41", "13/22", "13/23",
+                                "11/18", "2/3", "30/47", "9/14", "36/61"],
+    }
+    want_nodes = {Regime.NO_RESIDUAL: 17834, Regime.ALLOW_RESIDUAL: 16949}
+    for regime in Regime:
+        nodes, optima = 0, []
+        for gen_seed in range(10):
+            inst, planted = planted_instance(gen_seed, 10, 15, 4, .7, .12)
+            out = solve(inst, regime,
+                        seed_solution=fit_parts(inst, planted, regime))
+            assert out.status is SolveStatus.OPTIMAL
+            nodes += out.nodes
+            optima.append(str(out.solution.efficacy))
+        assert optima == want_optima[regime]
+        assert nodes == want_nodes[regime], regime
