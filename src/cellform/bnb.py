@@ -10,16 +10,24 @@ fixed each part independently takes the cell with the best weight-column
 sum, or residual when the regime allows it (optimal_parts, which the
 heuristic's part placement calls too). The search therefore only branches on
 machine partitions, encoded as restricted-growth strings with machines
-ordered densest-first. Its only prune is a child's bound, which lets every
-part pick its best cell while every unassigned machine contributes all of
-its positive weights; child_bounds scores all children of a node (the
-machine joins each open cell, or opens a new one) in one numpy step when
-the search enters the node. The children whose bound cannot beat the
-threshold are cut right there, counted as nodes and prunes in one step and
-never walked; the rest are visited best bound first, ties in label order.
-A machine's row enters the cell sums only when the search descends through
-it; leaves build their sums on demand. The search is a single depth-first
-loop over an explicit stack in plain Python and numpy.
+ordered densest-first. Its only prune is a child's bound: every part picks
+its best cell, or 0, and the unassigned machines add future_bounds, a bound
+on what they can add on their own. child_bounds scores all children of a
+node (the machine joins each open cell, or opens a new one) in one numpy
+step when the search enters the node. The children whose bound cannot beat
+the threshold are cut right there, counted as nodes and prunes in one step
+and never walked; the rest are visited best bound first, ties in label
+order. A machine's row enters the cell sums only when the search descends
+through it; leaves build their sums on demand. The search is a single
+depth-first loop over an explicit stack in plain Python and numpy.
+
+The bound is admissible in both regimes. In any completion a part's value
+is at most max(0, its best column sum over the assigned rows of a cell)
+plus max(0, its best column sum over the unassigned rows of a cell); the
+second terms add up to the value of a grouping of the unassigned machines
+alone. For the last _TAIL_EXACT machines future_bounds is the best such
+value over all their set partitions; above them each machine adds its
+positive weights, which bounds what it can add to any grouping.
 
 Given an incumbent value, the search stops at the first leaf that beats it:
 the Dinkelbach loop needs only one grouping with F > 0 to raise its ratio,
@@ -30,24 +38,29 @@ an incumbent the search returns the exact maximum.
 A Tree keeps that search between runs, so one depth-first search serves a
 whole Dinkelbach solve: each run rebuilds the weights at its raised lambda,
 re-bounds the nodes on the stack and resumes where the last run stopped.
-That is exact because every bound, and every leaf's F, scaled by 1/q_den is
-a sum of terms that do not increase in lambda: a child pruned at bound <= 0
-stays pruned, and a leaf passed at F <= 0 stays below, at any higher ratio.
-So a run that completes proves that nothing beats its lambda.
+That is exact because every bound, and every leaf's F, scaled by 1/q_den
+does not increase in lambda: each is a sum, or a max of sums, of terms
+a - lambda*(1 - a), and future_bounds is a max over partitions of such sums.
+A child pruned at bound <= 0 stays pruned, and a leaf passed at F <= 0
+stays below, at any higher ratio. So a run that completes proves that
+nothing beats its lambda.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .instances import Instance
+from .partitions import iter_set_partitions
 from .rational import Ratio
 from .solutions import Regime, Solution, canonicalize, efficacy
 
 _NEG_INF = -(1 << 62)
+_TAIL_EXACT = 6  # suffixes up to this long get an exact future; Bell(6) = 203
 
 
 def make_weights(inst: Instance, lam: Ratio) -> np.ndarray:
@@ -57,19 +70,56 @@ def make_weights(inst: Instance, lam: Ratio) -> np.ndarray:
     return lam.den * a - lam.num * (1 - a)
 
 
+@functools.cache
+def _tail_partitions(n: int) -> np.ndarray:
+    """Every set partition of n items as a (Bell(n), n) array of block
+    bitmasks, item i as bit i; blocks a partition does not use are 0."""
+    partitions = list(iter_set_partitions(n))
+    masks = np.zeros((len(partitions), n), dtype=np.intp)
+    for b, labels in enumerate(partitions):
+        for i, c in enumerate(labels):
+            masks[b, c] |= 1 << i
+    return masks
+
+
+def future_bounds(wo: np.ndarray) -> list[int]:
+    """future[d] (d = 0..m) bounds what the machines of rows wo[d:] add to
+    any completion on their own. For d >= m - _TAIL_EXACT it is exact: the
+    value of their best grouping, in which each part takes max(0, best
+    block column sum), over the set partitions of those rows, scored from
+    the column sums of every subset of the last rows. Above that each row
+    adds its positive weights to the bound below it."""
+    m, p = wo.shape
+    future = [0] * (m + 1)
+    tail = min(m, _TAIL_EXACT)
+    subset = np.zeros((1 << tail, p), dtype=np.int64)  # bit i: row m-1-i
+    for i in range(tail):
+        subset[1 << i:2 << i] = subset[:1 << i] + wo[m - 1 - i]
+    for n in range(1, tail + 1):
+        masks = _tail_partitions(n)
+        best = subset[masks[:, 0]]  # per partition, its best block per part
+        for c in range(1, n):
+            np.maximum(best, subset[masks[:, c]], out=best)
+        future[m - n] = int(np.maximum(best, 0, out=best).sum(axis=1).max())
+    pos_row = np.maximum(wo[:m - tail], 0).sum(axis=1).tolist()
+    for d in range(m - tail - 1, -1, -1):
+        future[d] = future[d + 1] + pos_row[d]
+    return future
+
+
 def child_bounds(cell_sums: np.ndarray, row: np.ndarray, future: int,
                  const: int, c_max: int) -> list[int]:
     """Optimistic value of the best completion of each child of a node.
 
     cell_sums (k x p, k >= 0) holds the weight column sums of the node's k
-    open cells, row the weights of the machine it branches on and future
-    the sum of the positive weights of the machines after that one. Child
-    c < k puts the machine in cell c; child k, present when k < c_max,
-    opens a new cell. In a child each part takes max(best cell column sum,
-    0) - it may also open a fresh cell or go residual, both worth at least
-    0 - and every later machine contributes all of its positive weights.
-    Admissible for both regimes (the no-residual feasible set is a subset
-    of allow-residual's).
+    open cells, row the weights of the machine it branches on and future an
+    upper bound on what the machines after that one add on their own (the
+    future_bounds entry of the next depth). Child c < k puts the machine in
+    cell c; child k, present when k < c_max, opens a new cell. In a child
+    each part takes max(best cell column sum, 0) - it may also open a fresh
+    cell or go residual, both worth at least 0 - and the later machines add
+    future. Admissible for both regimes (see the module docstring; the
+    no-residual feasible set is a subset of allow-residual's).
 
     A child changes one cell, so its best other cell in a column is the
     column's second best where that cell holds the best, else the best.
@@ -261,11 +311,7 @@ class Tree:
 
     def _weigh(self, lam: Ratio) -> None:
         wo = make_weights(self.inst, lam)[self.order]
-        pos_row = np.maximum(wo, 0).sum(axis=1)
-        suffix = [0] * (len(wo) + 1)  # positive weight from depth d on
-        for d in range(len(wo) - 1, -1, -1):
-            suffix[d] = suffix[d + 1] + int(pos_row[d])
-        self.lam, self.wo, self.suffix = lam, wo, suffix
+        self.lam, self.wo, self.future = lam, wo, future_bounds(wo)
         self.const = lam.num * self.inst.n1
 
     def _resume(self) -> None:
@@ -277,7 +323,7 @@ class Tree:
         for t in range(self.d + 1):
             if self.prune:
                 self.bounds[t] = child_bounds(
-                    cell_sums[:self.opened[t]], wo[t], self.suffix[t + 1],
+                    cell_sums[:self.opened[t]], wo[t], self.future[t + 1],
                     self.const, self.c_max)
             if t < self.d:
                 cell_sums[self.trying[t]] += wo[t]
@@ -303,7 +349,7 @@ class Tree:
         deadline = (time.monotonic() + time_limit
                     if time_limit is not None else None)
         m, order = self.inst.m, self.order
-        wo, suffix, const = self.wo, self.suffix, self.const
+        wo, future, const = self.wo, self.future, self.const
         c_max, no_res, prune = self.c_max, self.no_res, self.prune
         cell_sums, opened, bounds = self.cell_sums, self.opened, self.bounds
         kids, cursor, trying = self.kids, self.cursor, self.trying
@@ -322,7 +368,7 @@ class Tree:
                 n = min(k + 1, c_max)
                 if prune:
                     b = bounds[d] = child_bounds(cell_sums[:k], wo[d],
-                                                 suffix[d + 1], const, c_max)
+                                                 future[d + 1], const, c_max)
                     todo = [c for c in range(n) if b[c] > best_F]
                     todo.sort(key=b.__getitem__, reverse=True)
                 else:

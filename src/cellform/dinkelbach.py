@@ -13,7 +13,9 @@ seed, or a bare seed ratio) is a fresh full search for the maximum; from
 the first round with an incumbent on, every round resumes that one
 depth-first search at the raised lambda instead of restarting it from the
 root. That stays exact because every bound, and every leaf's F scaled by
-1/q, does not increase in lambda: what a round pruned or passed at F <= 0
+1/q, does not increase in lambda: each is a sum of terms a - lambda*(1 - a),
+or a max of such sums, as the bound's future term (the best grouping of
+the machines not yet placed) is. What a round pruned or passed at F <= 0
 stays so at any higher ratio. The round in which the search completes
 without a leaf above 0 therefore proves the last lambda optimal, as does a
 full search whose maximum is exactly F = 0. Seeding above the optimum makes

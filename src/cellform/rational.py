@@ -11,8 +11,12 @@ solution, e.g. 15/24 rather than 5/8.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+_RATIO = re.compile(r"(\d+)/(\d+)|(\d*)\.(\d+)|(\d+)", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -92,20 +96,19 @@ class Ratio:
 
 
 def parse_ratio(text: str) -> Ratio:
-    """Parse 'a/b', a decimal like '0.6957', or a bare integer.
+    """Parse 'a/b', a decimal like '0.6957' or '.5', or a bare integer, all
+    digits; anything else raises "cannot parse rational from ...".
 
     The written form is preserved: '15/24' stays 15/24 and '0.6957' becomes
     6957/10000.
     """
-    s = text.strip()
-    if "/" in s:
-        num_s, _, den_s = s.partition("/")
-        return Ratio(int(num_s), int(den_s))
-    if "." in s:
-        whole_s, _, frac_s = s.partition(".")
-        if not frac_s or not frac_s.isdigit():
-            raise ValueError(f"cannot parse rational from {text!r}")
-        whole = int(whole_s) if whole_s else 0
-        den = 10 ** len(frac_s)
-        return Ratio(whole * den + int(frac_s), den)
-    return Ratio(int(s), 1)
+    match = _RATIO.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"cannot parse rational from {text!r}")
+    num, den, whole, frac, bare = match.groups()
+    if den is not None:
+        return Ratio(int(num), int(den))
+    if frac is not None:
+        scale = 10 ** len(frac)
+        return Ratio(int(whole or 0) * scale + int(frac), scale)
+    return Ratio(int(bare), 1)

@@ -8,12 +8,14 @@ from cellform.bnb import (
     Tree,
     _min_loss_cover,
     child_bounds,
+    future_bounds,
     label_cap,
     make_weights,
     optimal_parts,
     solve_subproblem,
 )
 from cellform.instances import Instance
+from cellform.partitions import iter_set_partitions
 from cellform.rational import Ratio, parse_ratio
 from cellform.solutions import Regime, check_feasible, efficacy_counts
 
@@ -143,11 +145,12 @@ def cell_sums(w, labels):
 
 def bound_at(w, const, labels, c_max):
     """The search's bound of a prefix: the child_bounds entry of its last
-    label, computed at the parent prefix. The empty prefix takes the bound
-    of machine 0 in cell 0, which every completion starts with."""
+    label, computed at the parent prefix with the search's future bound.
+    The empty prefix takes the bound of machine 0 in cell 0, which every
+    completion starts with."""
     labels = labels or [0]
     parent = labels[:-1]
-    future = int(np.maximum(w[len(labels):], 0).sum())
+    future = future_bounds(w)[len(labels)]
     bounds = child_bounds(cell_sums(w, parent), w[len(parent)], future,
                           const, c_max)
     return bounds[labels[-1]]
@@ -155,7 +158,7 @@ def bound_at(w, const, labels, c_max):
 
 def scratch_bound(sums, future, const):
     """The bound from scratch: each part takes max(best cell column sum,
-    0), every unassigned machine adds all of its positive weights."""
+    0), and the unassigned machines add future."""
     return int(sums.max(axis=0, initial=0).sum()) + future - const
 
 
@@ -170,24 +173,28 @@ def completions(prefix, m, c_max):
 
 
 def best_completion(inst, w, const, prefix, no_res):
-    """Brute-force the best leaf F under any completion of the prefix."""
+    """Brute-force the best leaf F under any completion of the prefix.
+    Allow-residual scores all completions at once: each part takes its best
+    cell or goes residual at 0."""
     c_max = min(inst.m, inst.p + (0 if no_res else 1))
-    best = None
-    for labels in completions(list(prefix), inst.m, c_max):
-        if no_res and max(labels) + 1 > inst.p:
-            continue  # the prefix already has more cells than parts
-        _, total = optimal_parts(cell_sums(w, labels), no_res)
-        F = total - const
-        if best is None or F > best:
-            best = F
-    return best
+    leaves = [labels for labels in completions(list(prefix), inst.m, c_max)
+              # no-residual: the prefix may already have more cells than parts
+              if not no_res or max(labels) < inst.p]
+    if not leaves:
+        return None
+    if no_res:
+        return max(optimal_parts(cell_sums(w, labels), True)[1]
+                   for labels in leaves) - const
+    member = np.array(leaves)[:, :, None] == np.arange(c_max)
+    sums = np.einsum("lic,ij->lcj", member.astype(np.int64), w)
+    return int(np.maximum(sums.max(axis=1), 0).sum(axis=1).max()) - const
 
 
 def test_node_bound_admissible_on_random_nodes():
     rng = random.Random(41)
-    checked = 0
+    checked = chained = 0
     while checked < 1000:
-        m = rng.randrange(2, 7)
+        m = rng.randrange(2, 9)
         p = rng.randrange(2, 8)
         inst = random_instance(rng, m, p, rng.choice((0.2, 0.5, 0.8)))
         lam = rng.choice(LAMBDAS)
@@ -196,11 +203,15 @@ def test_node_bound_admissible_on_random_nodes():
         c_max = min(m, p + 1)
         prefix = random_prefix(rng, m, c_max)
         bound = bound_at(w, const, prefix, c_max)
-        for no_res in (False, True):
+        chained += max(len(prefix), 1) < m - 6  # above the exact tail
+        # every no-residual leaf is an allow-residual leaf of the same F, so
+        # the allow-residual best covers it; its slow scan runs at m <= 6
+        for no_res in (False, True) if m <= 6 else (False,):
             best = best_completion(inst, w, const, prefix, no_res)
             if best is not None:
                 assert bound >= best, (inst.a, lam, prefix, no_res)
         checked += 1
+    assert chained >= 20, chained
 
 
 def test_child_bounds_equal_the_scratch_bound():
@@ -232,9 +243,17 @@ def test_child_bounds_equal_the_scratch_bound():
 
 
 def test_node_bound_anchors(ref_instance):
-    # at depth 1 the bound is the root's: machine 0 keeps its positive weights
+    # at 15/24 the four machines after machine 0 add at most 285 on their
+    # own, below the 288 of all their positive weights; machine 0 keeps its
+    # positive weights, 96
     w = make_weights(ref_instance, Ratio(15, 24))
-    assert bound_at(w, 300, [0], 5) == int(np.maximum(w, 0).sum()) - 300
+    assert future_bounds(w) == [339, 285, 216, 144, 96, 0]
+    assert bound_at(w, 300, [0], 5) == 96 + 285 - 300
+
+    # five machines are all in the exact tail: the root's future is the
+    # allow-residual maximum, F = 39 at the two-cell seed ratio
+    res = solve_subproblem(ref_instance, Ratio(15, 24), Regime.ALLOW_RESIDUAL)
+    assert future_bounds(w)[0] - 300 == res.best_F == 39
 
     # lambda = 0: every operation is coverable, bound = q * n1 at depth 1
     w0 = make_weights(ref_instance, Ratio(0, 1))
@@ -243,6 +262,51 @@ def test_node_bound_anchors(ref_instance):
     # at full depth the bound collapses to the allow-residual part optimum
     _, total = optimal_parts(cell_sums(w, [0, 1, 1, 0, 1]), False)
     assert bound_at(w, 300, [0, 1, 1, 0, 1], 5) == total - 300
+
+
+def best_grouping_value(rows):
+    """The best value the rows add on their own: over set partitions of
+    them, each part takes max(0, best block column sum)."""
+    n = len(rows)
+    member = np.array(list(iter_set_partitions(n)))[:, :, None] == np.arange(n)
+    blocks = np.einsum("bic,ij->bcj", member.astype(np.int64), rows)
+    return int(np.maximum(blocks.max(axis=1), 0).sum(axis=1).max())
+
+
+def test_future_bounds_are_exact_on_the_tail_and_chain_above_it():
+    rng = random.Random(47)
+    chained = 0
+    for _ in range(300):
+        m = rng.randrange(1, 10)
+        p = rng.randrange(1, 7)
+        w = np.array([[rng.randrange(-6, 7) for _ in range(p)]
+                      for _ in range(m)], dtype=np.int64)
+        future = future_bounds(w)
+        assert len(future) == m + 1 and future[m] == 0
+        for d in range(m):
+            positive = int(np.maximum(w[d], 0).sum())
+            assert future[d + 1] <= future[d] <= future[d + 1] + positive
+            if d >= m - 6:
+                assert future[d] == best_grouping_value(w[d:]), (w, d)
+            else:
+                assert future[d] == future[d + 1] + positive
+                chained += 1
+    assert chained >= 100, chained
+
+
+def test_future_bounds_over_q_do_not_increase_in_lambda():
+    # the resume relies on every bound / q_den not increasing in lambda
+    rng = random.Random(49)
+    for _ in range(60):
+        inst = random_instance(rng, rng.randrange(1, 10), rng.randrange(1, 8),
+                               rng.choice((0.2, 0.5, 0.8)))
+        lams = sorted({Ratio(rng.randrange(0, 13), rng.randrange(1, 13))
+                       for _ in range(5)})
+        for lo, hi in zip(lams, lams[1:]):
+            f_lo = future_bounds(make_weights(inst, lo))
+            f_hi = future_bounds(make_weights(inst, hi))
+            for a, b in zip(f_lo, f_hi):
+                assert a * hi.den >= b * lo.den, (inst.a, str(lo), str(hi))
 
 
 def test_optimal_parts_two_cell(ref_instance, two_cell):
@@ -333,24 +397,26 @@ def test_reference_instance_anchor(ref_instance):
 # the ratio of its planted grouping, where the search stops at its first
 # leaf with F > 0 - about one dive, since siblings go best bound first - and
 # at its optimum, where it proves that none exists: that node set does not
-# depend on the sibling order, and the cut children count the same in bulk
+# depend on the sibling order, and the cut children count the same in bulk.
+# The exact future of the last six machines shrinks the proofs; on a dive it
+# can cut one more child on the way, which counts as a node and a prune
 PINNED_COUNTS = [
     ((1, 8, 10, 3, .7, .15), "no-residual", "17/32", (8, 1, 0, 0, 8, 5)),
     ((1, 8, 10, 3, .7, .15), "no-residual", "16/24", (76, 0, 56, 0, 8, 6)),
     ((1, 8, 10, 3, .7, .15), "allow-residual", "15/28", (8, 1, 0, 0, 8, 5)),
     ((1, 8, 10, 3, .7, .15), "allow-residual", "16/24", (76, 0, 56, 0, 8, 6)),
     ((2, 9, 12, 3, .7, .15), "no-residual", "22/43", (9, 1, 0, 0, 9, 4)),
-    ((2, 9, 12, 3, .7, .15), "no-residual", "23/35", (292, 2, 223, 0, 9, 6)),
+    ((2, 9, 12, 3, .7, .15), "no-residual", "23/35", (251, 2, 194, 0, 9, 6)),
     ((2, 9, 12, 3, .7, .15), "allow-residual", "16/31", (9, 1, 0, 0, 9, 4)),
-    ((2, 9, 12, 3, .7, .15), "allow-residual", "22/33", (228, 0, 174, 0, 9, 6)),
-    ((3, 10, 12, 4, .7, .12), "no-residual", "21/37", (10, 1, 0, 0, 10, 6)),
-    ((3, 10, 12, 4, .7, .12), "no-residual", "20/32", (835, 2, 645, 0, 10, 7)),
-    ((3, 10, 12, 4, .7, .12), "allow-residual", "21/35", (16, 1, 6, 0, 10, 6)),
-    ((3, 10, 12, 4, .7, .12), "allow-residual", "20/31", (584, 0, 447, 0, 10, 6)),
-    ((4, 10, 14, 4, .65, .15), "no-residual", "27/50", (11, 1, 1, 0, 10, 5)),
-    ((4, 10, 14, 4, .65, .15), "no-residual", "24/41", (1921, 0, 1508, 0, 10, 7)),
-    ((4, 10, 14, 4, .65, .15), "allow-residual", "26/48", (11, 1, 1, 0, 10, 5)),
-    ((4, 10, 14, 4, .65, .15), "allow-residual", "24/41", (1921, 0, 1508, 0, 10, 7)),
+    ((2, 9, 12, 3, .7, .15), "allow-residual", "22/33", (180, 0, 138, 0, 9, 6)),
+    ((3, 10, 12, 4, .7, .12), "no-residual", "21/37", (11, 1, 1, 0, 10, 6)),
+    ((3, 10, 12, 4, .7, .12), "no-residual", "20/32", (336, 2, 259, 0, 10, 7)),
+    ((3, 10, 12, 4, .7, .12), "allow-residual", "21/35", (17, 1, 7, 0, 10, 6)),
+    ((3, 10, 12, 4, .7, .12), "allow-residual", "20/31", (146, 0, 111, 0, 10, 6)),
+    ((4, 10, 14, 4, .65, .15), "no-residual", "27/50", (12, 1, 2, 0, 10, 5)),
+    ((4, 10, 14, 4, .65, .15), "no-residual", "24/41", (806, 0, 631, 0, 10, 7)),
+    ((4, 10, 14, 4, .65, .15), "allow-residual", "26/48", (12, 1, 2, 0, 10, 5)),
+    ((4, 10, 14, 4, .65, .15), "allow-residual", "24/41", (806, 0, 631, 0, 10, 7)),
 ]
 
 

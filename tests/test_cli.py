@@ -126,6 +126,16 @@ def test_solve_bad_seed(inst_file, capsys, seed):
     assert len(err) == 1 and err[0].startswith("error:")  # no traceback
 
 
+@pytest.mark.parametrize("command, flag, bad", [
+    ("solve", "--seed-lambda", "abc"),
+    ("export-lp", "--lambda", "1/x"),
+])
+def test_malformed_ratio_is_named(inst_file, capsys, command, flag, bad):
+    assert main([command, str(inst_file), flag, bad]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: cannot parse rational from '{bad}'"]
+
+
 def test_solve_time_limit_zero_reports_timelimit(inst_file, capsys):
     assert main(["solve", str(inst_file), "--time-limit", "0"]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -88,9 +89,15 @@ def test_parse_ratio_forms():
     assert parse_ratio("0") == Ratio(0, 1)
     assert parse_ratio("1") == Ratio(1, 1)
     assert parse_ratio(" 3/8 ") == Ratio(3, 8)
+    assert parse_ratio(".5") == Ratio(5, 10)
 
 
 def test_parse_ratio_rejects_junk():
-    for bad in ("", "a/b", "1/0", "-1/2", "1/2/3", "0.12.3"):
-        with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="denominator"):
+        parse_ratio("1/0")
+    # every malformed form is named as such, whatever part of it is bad
+    for bad in ("", "a/b", "-1/2", "1/2/3", "0.12.3", "abc", "1/x", "x/2",
+                "1.x", "1.", "/", "+1", "1e3", "1_0", "1 / 2", "½", "١"):
+        want = f"cannot parse rational from {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             parse_ratio(bad)
