@@ -108,7 +108,7 @@ def future_bounds(wo: np.ndarray) -> list[int]:
 
 
 def child_bounds(cell_sums: np.ndarray, row: np.ndarray, future: int,
-                 const: int, c_max: int) -> list[int]:
+                 const: int, c_max: int) -> list:
     """Optimistic value of the best completion of each child of a node.
 
     cell_sums (k x p, k >= 0) holds the weight column sums of the node's k
@@ -124,15 +124,23 @@ def child_bounds(cell_sums: np.ndarray, row: np.ndarray, future: int,
     A child changes one cell, so its best other cell in a column is the
     column's second best where that cell holds the best, else the best.
     The new cell is scored as a zero row of the parent plus the machine.
+
+    A stack of nodes is scored in the same step: cell_sums of shape
+    (..., k, p) and row of shape (..., p) give one list of bounds per node.
     """
-    k, p = cell_sums.shape
+    k, p = cell_sums.shape[-2:]
     if k < c_max:
-        cell_sums = np.concatenate((cell_sums, np.zeros((1, p), np.int64)))
-    if len(cell_sums) == 1:
-        return [int(np.maximum(cell_sums[0] + row, 0).sum()) + future - const]
-    second, best = np.maximum(np.sort(cell_sums, axis=0)[-2:], 0)
-    other = np.where(cell_sums == best, second, best)
-    return (np.maximum(cell_sums + row, other).sum(axis=1)
+        cell_sums = np.concatenate(
+            (cell_sums, np.zeros(cell_sums.shape[:-2] + (1, p), np.int64)),
+            axis=-2)
+    row = row[..., None, :]
+    if cell_sums.shape[-2] == 1:
+        other = 0
+    else:
+        top = np.maximum(np.sort(cell_sums, axis=-2)[..., -2:, :], 0)
+        second, best = top[..., :1, :], top[..., 1:, :]
+        other = np.where(cell_sums == best, second, best)
+    return (np.maximum(cell_sums + row, other).sum(axis=-1)
             + (future - const)).tolist()
 
 

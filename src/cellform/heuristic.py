@@ -19,17 +19,36 @@ residual, ignoring the cover constraint, bounds F from above (the
 relaxation of `bnb.child_bounds`), so a neighbour whose bound is <= 0 is
 dropped without being fitted. The bounds come from the current grouping's
 per-cell weight sums: a relocation changes two of their rows and a merge
-folds one row into another, so `child_bounds` scores all relocations of
-one machine, or all merges into one cell, at once; the splits of one
-cell are scored as a mask matrix times the cell's weight rows. The
-neighbours that pass are fitted by `fit_parts` at lam, which rejects a
-loser after one parametric round. Dropped neighbours cannot win, so the
-climb accepts the same groupings as one that fits every neighbour.
+folds one row into another, so one stacked `child_bounds` call scores
+every relocation of every machine (slab i is the sums with machine i's
+row taken out, plus a zero row for a new cell, which changes no max
+clipped at 0), and one more scores every merge; the splits of one cell
+are scored as a mask matrix times the cell's weight rows. The neighbours
+that pass are fitted by `fit_parts` at lam, which rejects a loser after
+one parametric round. Dropped neighbours cannot win, so the climb accepts
+the same groupings as one that fits every neighbour.
+
+The memo: restarts of one `heuristic_solve` call often climb into a
+grouping an earlier restart already passed through, so a dict local to
+the call maps the machine labels of every grouping on a finished climb's
+path to that climb's result, and a later climb that reaches one of them
+stops there. This is exact. `_moves` reads only a grouping's machine
+labels and its efficacy, and that efficacy is the exact optimum of its
+partition: a start is fitted from ratio 0, and every accepted neighbour
+is a `fit_parts` result that beat its ratio. So the rest of a climb is a
+function of the grouping alone. The labels are renumbered in every
+grouping a climb visits, so equal partitions meet under one key. At the
+stored end grouping itself a climb keeps its own fit, whose part labels
+may break ties differently; elsewhere it takes the stored result, which
+is the one its own rest of the climb would reach. A climb cut by the
+deadline stores nothing, and the memo dies with the call, so results do
+not depend on earlier calls.
 
 Determinism: the same rng_seed gives the same answer as long as the time
-budget does not cut a run short. The budget is polled before every batch
-is scored and before every `fit_parts` call, so a climb overruns it by
-about one of either.
+budget does not cut a run short. The budget is polled once before all
+relocations are scored, once before all merges, before each cell's
+splits and before every `fit_parts` call, so a climb overruns it by about
+one of either.
 """
 
 from __future__ import annotations
@@ -135,7 +154,8 @@ def _moves(inst: Instance, sol: Solution, cap: int, deadline: float | None):
 
     A neighbour is yielded only if its relaxed value at lam = sol.efficacy
     beats num*n1 (see the module docstring). The stream stops early once the
-    deadline has passed; it is polled before every batch is scored."""
+    deadline has passed; it is polled once before all relocations are
+    scored, once before all merges and before each cell's splits."""
     lam = sol.efficacy
     machine_cell = sol.machine_cell
     w = make_weights(inst, lam)
@@ -152,28 +172,27 @@ def _moves(inst: Instance, sol: Solution, cap: int, deadline: float | None):
             cells[r] = dst
         return cells
 
-    def values(src, row, c_max):
-        # relaxed value, minus num*n1, of moving row's weight sums out of
-        # cell src into each cell c < c_max; c = k opens a new cell
-        rest = sums.copy()
-        rest[src] -= row
-        return child_bounds(rest, row, 0, const, c_max)
-
+    if _past(deadline):
+        return
+    # relaxed value, minus num*n1, of moving machine i's weights out of its
+    # cell into each cell c < k, or into a new cell (c = k): one stacked
+    # child_bounds call whose slab i is sol's sums with row i taken out
+    rest = np.repeat(sums[None], inst.m, axis=0)
+    rest[np.arange(inst.m), labels - 1] -= w
+    value = child_bounds(rest, w, 0, const, k + 1)
     for i, src in enumerate(machine_cell):
         top = k if size[src] == 1 else min(k + 1, cap)
-        if top == 1:  # nowhere to go
-            continue
-        if _past(deadline):
-            return
-        value = values(src - 1, w[i], top)
         for dst in range(1, top + 1):
-            if dst != src and value[dst - 1] > 0:
+            if dst != src and value[i][dst - 1] > 0:
                 yield [moved([i], dst)]
     if k > 1:
         if _past(deadline):
             return
-        # merging cell d into cell c moves d's whole row of sums
-        value = [values(d, sums[d], k) for d in range(k)]
+        # merging cell d into cell c moves d's whole row of sums: slab d is
+        # sol's sums with row d emptied
+        rest = np.repeat(sums[None], k, axis=0)
+        rest[np.arange(k), np.arange(k)] = 0
+        value = child_bounds(rest, sums, 0, const, k)
         for c in range(1, k + 1):
             for d in range(c + 1, k + 1):
                 if value[d - 1][c - 1] > 0:
@@ -198,15 +217,33 @@ def _moves(inst: Instance, sol: Solution, cap: int, deadline: float | None):
 
 
 def climb(inst: Instance, machine_cell: list[int], regime: Regime,
-          deadline: float | None) -> Solution:
+          deadline: float | None, memo: dict | None = None) -> Solution:
     """Local search from a machine grouping (labels 1..k, 0 = residual):
     place its parts optimally, then move to the best improving grouping of
     the first batch that has one until no batch improves or the monotonic
     deadline (None = none) passes. The result is never worse than the best
-    placement of the parts for machine_cell."""
+    placement of the parts for machine_cell.
+
+    memo maps the machine_cell tuple of each grouping a finished climb
+    passed through to that climb's result; without one the climb starts a
+    fresh dict, which it cannot hit, because the efficacy rises strictly
+    along its path. A climb that reaches a grouping in the memo takes the
+    stored result - at the stored end grouping itself it keeps its own
+    fit - and a climb that finishes stores its path; one cut by the
+    deadline stores nothing (see the module docstring for why this is
+    exact)."""
+    memo = {} if memo is None else memo
     cap = label_cap(inst, regime)
     sol = fit_parts(inst, machine_cell, regime)
+    path = []
     while True:
+        key = tuple(sol.machine_cell)
+        end = memo.get(key)
+        if end is not None:
+            if end.machine_cell != sol.machine_cell:
+                sol = end
+            break
+        path.append(key)
         for batch in _moves(inst, sol, cap, deadline):
             best = sol
             for cells in batch:
@@ -221,7 +258,11 @@ def climb(inst: Instance, machine_cell: list[int], regime: Regime,
                 sol = best
                 break
         else:
-            return sol
+            if _past(deadline):  # the move stream may have been cut short
+                return sol
+            break
+    memo.update(dict.fromkeys(path, sol))
+    return sol
 
 
 def _random_machine_cells(m: int, k: int, rng: random.Random) -> list[int]:
@@ -237,18 +278,21 @@ def _random_machine_cells(m: int, k: int, rng: random.Random) -> list[int]:
 
 
 def heuristic_solve(inst: Instance, cfg: SearchConfig) -> Solution:
-    """Best feasible grouping found across cfg.restarts climbs."""
+    """Best feasible grouping found across cfg.restarts climbs, the first
+    of equal efficacy. The climbs share one memo of finished climbs, which
+    lives only as long as this call and does not change the result."""
     regime = cfg.regime
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget is not None else None
     rng = random.Random(cfg.rng_seed)
     kmax = min(inst.m, inst.p)
     best: Solution | None = None
+    memo: dict = {}  # finished climbs of this call, see climb
     for _ in range(cfg.restarts):
         if _past(deadline) and best is not None:
             break
         k = rng.randint(1, kmax)
         cells = _random_machine_cells(inst.m, k, rng)
-        sol = climb(inst, cells, regime, deadline)
+        sol = climb(inst, cells, regime, deadline, memo)
         if best is None or sol.efficacy > best.efficacy:
             best = sol
     best = canonicalize(best)

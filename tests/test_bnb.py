@@ -242,6 +242,32 @@ def test_child_bounds_equal_the_scratch_bound():
     assert min(seen.values()) >= 100, seen
 
 
+def test_stacked_child_bounds_equal_one_call_per_node():
+    # a stack of nodes, (n, k, p) sums and (n, p) rows, and a stack of
+    # stacks score each node as its own call does: with the new cell's zero
+    # row (k < c_max) and without it (k == c_max)
+    rng = random.Random(47)
+    seen = {"k=1": 0, "zero row": 0, "k=c_max": 0}
+    for _ in range(400):
+        c_max = rng.randrange(1, 6)
+        k = rng.randrange(1, c_max + 1)
+        p = rng.randrange(1, 7)
+        shape = rng.choice(((rng.randrange(1, 5),), (2, 3)))
+        sums = np.array([rng.randrange(-3, 4) for _ in range(
+            np.prod(shape) * k * p)], dtype=np.int64).reshape(shape + (k, p))
+        rows = np.array([rng.randrange(-3, 4) for _ in range(
+            np.prod(shape) * p)], dtype=np.int64).reshape(shape + (p,))
+        future, const = rng.randrange(0, 20), rng.randrange(0, 20)
+        got = np.array(child_bounds(sums, rows, future, const, c_max))
+        for node in np.ndindex(shape):
+            want = child_bounds(sums[node], rows[node], future, const, c_max)
+            assert got[node].tolist() == want, (sums[node], rows[node], c_max)
+        seen["k=1"] += k == 1
+        seen["zero row"] += k < c_max
+        seen["k=c_max"] += k == c_max
+    assert min(seen.values()) >= 50, seen
+
+
 def test_node_bound_anchors(ref_instance):
     # at 15/24 the four machines after machine 0 add at most 285 on their
     # own, below the 288 of all their positive weights; machine 0 keeps its

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from cellform import heuristic
-from cellform.bnb import label_cap, optimal_parts
-from cellform.heuristic import SearchConfig, fit_parts, heuristic_solve
+from cellform.bnb import child_bounds, label_cap, make_weights, optimal_parts
+from cellform.heuristic import SearchConfig, climb, fit_parts, heuristic_solve
 from cellform.instances import Instance
 from cellform.oracle import oracle_solve
 from cellform.rational import Ratio, parse_ratio
-from cellform.solutions import Regime, check_feasible, efficacy, renumber
+from cellform.solutions import (Regime, canonicalize, check_feasible,
+                                efficacy, renumber)
 
 from helpers import (pair_counts, part_vectors, planted_instance,
                      random_instance, split_halves, unscreened_heuristic_solve,
@@ -140,20 +141,22 @@ def test_time_budget_still_returns_feasible(ref_instance):
 # (generator args, regime, canonical machine_cell, efficacy, fit_parts
 # calls, optimal_parts rounds) with rng_seed=0 and 8 restarts; the counts
 # are the machine-independent cost of the climb, so a change to the move
-# order, the acceptance rule, the screen of _moves or the parametric loop
-# of fit_parts must update this table knowingly. fit_parts is called only
-# on the neighbours that pass the screen (1204-1898 calls per row without
-# it, with the same groupings)
+# order, the acceptance rule, the screen of _moves, the climb memo or the
+# parametric loop of fit_parts must update this table knowingly. fit_parts
+# is called only on the neighbours that pass the screen (1204-1898 calls
+# per row without it, with the same groupings), and not at all past a
+# grouping that an earlier restart's finished climb passed through
+# (40-201 calls per row; 58-231 without the memo)
 PINNED_RESULTS = [
-    ((1, 8, 10, 3, .7, .15), "no-residual", [1, 1, 2, 3, 4, 1, 4, 5], "2/3", 82, 154),
-    ((1, 8, 10, 3, .7, .15), "allow-residual", [1, 1, 2, 3, 4, 1, 4, 5], "2/3", 63, 133),
-    ((2, 9, 12, 3, .7, .15), "no-residual", [1, 1, 2, 3, 2, 4, 1, 2, 1], "23/35", 122, 192),
-    ((2, 9, 12, 3, .7, .15), "allow-residual", [1, 1, 2, 3, 2, 4, 5, 2, 1], "2/3", 58, 123),
-    ((3, 10, 12, 4, .7, .12), "no-residual", [1, 2, 1, 3, 2, 3, 4, 5, 3, 6], "5/8", 231, 327),
-    ((3, 10, 12, 4, .7, .12), "allow-residual", [1, 2, 1, 3, 2, 3, 4, 5, 3, 6], "20/31", 91, 190),
+    ((1, 8, 10, 3, .7, .15), "no-residual", [1, 1, 2, 3, 4, 1, 4, 5], "2/3", 74, 139),
+    ((1, 8, 10, 3, .7, .15), "allow-residual", [1, 1, 2, 3, 4, 1, 4, 5], "2/3", 58, 123),
+    ((2, 9, 12, 3, .7, .15), "no-residual", [1, 1, 2, 3, 2, 4, 1, 2, 1], "23/35", 78, 128),
+    ((2, 9, 12, 3, .7, .15), "allow-residual", [1, 1, 2, 3, 2, 4, 5, 2, 1], "2/3", 40, 87),
+    ((3, 10, 12, 4, .7, .12), "no-residual", [1, 2, 1, 3, 2, 3, 4, 5, 3, 6], "5/8", 201, 290),
+    ((3, 10, 12, 4, .7, .12), "allow-residual", [1, 2, 1, 3, 2, 3, 4, 5, 3, 6], "20/31", 83, 174),
     # here the climb takes a split whose batch holds several improving ones
-    ((7, 10, 12, 4, .6, .2), "no-residual", [1, 2, 3, 4, 3, 1, 2, 2, 4, 2], "25/46", 109, 210),
-    ((7, 10, 12, 4, .6, .2), "allow-residual", [1, 2, 3, 4, 3, 1, 2, 2, 4, 2], "25/46", 100, 207),
+    ((7, 10, 12, 4, .6, .2), "no-residual", [1, 2, 3, 4, 3, 1, 2, 2, 4, 2], "25/46", 96, 185),
+    ((7, 10, 12, 4, .6, .2), "allow-residual", [1, 2, 3, 4, 3, 1, 2, 2, 4, 2], "25/46", 90, 187),
 ]
 
 
@@ -223,15 +226,170 @@ def test_large_cell_split_keeps_its_poles():
             [sorted(h) for h in split_halves(rows, inst.a)], inst.a
 
 
-def test_climb_matches_the_unscreened_climb():
-    # the screen only drops neighbours that cannot win, so the climb
-    # accepts the same groupings as one that fits every neighbour
-    for n in range(40):
-        m, p = 6 + n * 6 // 39, 8 + n * 10 // 39
-        inst, _ = planted_instance(100 + n, m, p, 2 + n % 3, .75, .1)
+def test_climb_matches_the_unscreened_climb(monkeypatch):
+    # the screen only drops neighbours that cannot win, and a later restart
+    # that reaches a grouping an earlier finished climb passed through takes
+    # that climb's result; so the answer is the one of a climb without
+    # screen or memo, part labels included; at 2 and at 8 restarts some
+    # climbs hit the memo
+    hits = 0
+
+    def spy(inst, cells, regime, deadline, memo):
+        nonlocal hits
+        known = set(memo)
+        sol = climb(inst, cells, regime, deadline, memo)
+        # a finished climb stores its end grouping, so a later climb ends
+        # on a known grouping only if it reached the memo
+        hits += tuple(sol.machine_cell) in known
+        return sol
+
+    monkeypatch.setattr(heuristic, "climb", spy)
+    for restarts, step in ((2, 1), (8, 2)):
+        hits = 0
+        for n in range(0, 40, step):
+            m, p = 6 + n * 6 // 39, 8 + n * 10 // 39
+            inst, _ = planted_instance(100 + n, m, p, 2 + n % 3, .75, .1)
+            for regime in Regime:
+                got = heuristic_solve(inst, SearchConfig(
+                    regime=regime, restarts=restarts, rng_seed=n))
+                want = unscreened_heuristic_solve(inst, regime, restarts, n)
+                assert (got.machine_cell, got.part_cell, got.efficacy) == (
+                    want.machine_cell, want.part_cell, want.efficacy), (
+                        restarts, n, regime)
+        assert hits > 0, restarts
+
+
+def test_relocations_and_merges_score_as_one_node_each(monkeypatch):
+    # the stacked child_bounds calls of _moves give, slab by slab, the
+    # bounds of one call per machine (per merged cell) on the sums with its
+    # row taken out, up to the last cell that machine may move to
+    calls = []
+
+    def spy(*args):
+        calls.append(child_bounds(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(heuristic, "child_bounds", spy)
+    rng = random.Random(17)
+    seen = {"singleton": 0, "k=cap": 0, "merges": 0}
+    for trial in range(120):
+        inst = random_instance(rng, rng.randrange(2, 9), rng.randrange(2, 9),
+                               rng.choice((0.3, 0.5, 0.7)))
         for regime in Regime:
-            got = heuristic_solve(inst, SearchConfig(regime=regime, restarts=2,
-                                                     rng_seed=n))
-            want = unscreened_heuristic_solve(inst, regime, 2, n)
-            assert (got.machine_cell, got.part_cell, got.efficacy) == (
-                want.machine_cell, want.part_cell, want.efficacy), (n, regime)
+            cap = label_cap(inst, regime)
+            k = (cap, rng.randint(1, cap))[trial % 2]
+            sol = fit_parts(inst, heuristic._random_machine_cells(inst.m, k, rng),
+                            regime)
+            calls.clear()
+            list(heuristic._moves(inst, sol, cap, None))
+            lam = sol.efficacy
+            w = make_weights(inst, lam)
+            ones, zeros = heuristic._counts(inst, sol.machine_cell)
+            sums = lam.den * ones - lam.num * zeros
+            const = lam.num * inst.n1
+            size = np.bincount(sol.machine_cell)
+            relocations, *merges = calls
+            for i, src in enumerate(sol.machine_cell):
+                top = k if size[src] == 1 else min(k + 1, cap)
+                one = sums.copy()
+                one[src - 1] -= w[i]
+                assert relocations[i][:top] == child_bounds(
+                    one, w[i], 0, const, top), (inst.a, regime, i)
+                seen["singleton"] += bool(size[src] == 1)
+            seen["k=cap"] += k == cap
+            if k > 1:
+                for d in range(k):
+                    one = sums.copy()
+                    one[d] = 0
+                    assert merges[0][d] == child_bounds(one, sums[d], 0, const,
+                                                     k), (inst.a, regime, d)
+                seen["merges"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_a_cut_climb_stores_nothing_and_the_memo_dies_with_the_call(monkeypatch):
+    # the clock runs out partway through a restart; the answer is still a
+    # canonical grouping whose counts re-verify, the cut climb adds nothing
+    # to the memo, and a later call without a budget is unaffected
+    gen, regime, machine_cell, eff, want_calls, _ = PINNED_RESULTS[2]
+    inst, _ = planted_instance(*gen)
+    regime = Regime(regime)
+    cfg = SearchConfig(regime=regime, restarts=8, rng_seed=0, time_budget=60)
+    polls = 0
+    expire_at = None
+
+    def expired():
+        return expire_at is not None and polls > expire_at
+
+    def clock(deadline):
+        nonlocal polls
+        polls += 1
+        return expired()
+
+    climbs = []  # per climb: whether it grew the memo, whether it was cut
+
+    def spy(inst, cells, regime, deadline, memo):
+        before = len(memo)
+        sol = climb(inst, cells, regime, deadline, memo)
+        climbs.append((len(memo) > before, expired()))
+        return sol
+
+    monkeypatch.setattr(heuristic, "_past", clock)
+    monkeypatch.setattr(heuristic, "climb", spy)
+    heuristic_solve(inst, cfg)
+    total = polls
+    cut = 0
+    for expire_at in range(total // 8, total, total // 8):
+        polls = 0
+        climbs.clear()
+        sol = heuristic_solve(inst, cfg)
+        assert not any(grew for grew, was_cut in climbs if was_cut), expire_at
+        cut += climbs[-1][1]
+        assert canonicalize(sol) == sol
+        stored = (sol.n1_in, sol.n0_in, sol.efficacy)
+        assert efficacy(inst, sol) == sol.efficacy
+        assert (sol.n1_in, sol.n0_in, sol.efficacy) == stored
+    assert cut >= 5, cut
+    monkeypatch.undo()
+
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return fit_parts(*args, **kwargs)
+
+    monkeypatch.setattr(heuristic, "fit_parts", counted)
+    sol = heuristic_solve(inst, SearchConfig(regime=regime, restarts=8,
+                                             rng_seed=0))
+    assert (sol.machine_cell, sol.efficacy, calls) == (
+        machine_cell, parse_ratio(eff), want_calls)
+
+
+def test_a_memo_hit_at_the_end_grouping_keeps_the_climbs_own_parts():
+    # fit_parts from different ratios may break part ties differently: this
+    # start is its own climb's end, fitted from 0 to parts [3, 2, 1], and
+    # from 1/32 to [2, 3, 1] at the same efficacy. A result stored for it
+    # by a climb that arrived from 1/32 must not replace the climb's own fit
+    inst = Instance("tie", 4, 3, ((0, 0, 0), (0, 0, 0), (0, 0, 1), (0, 0, 0)))
+    start, regime = [1, 2, 1, 3], Regime.NO_RESIDUAL
+    want = climb(inst, start, regime, None)
+    other = fit_parts(inst, start, regime, Ratio(1, 32))
+    assert (want.machine_cell, want.part_cell, want.efficacy) == (
+        start, [3, 2, 1], Ratio(1, 4))
+    assert (other.part_cell, other.efficacy) == ([2, 3, 1], Ratio(1, 4))
+    assert climb(inst, start, regime, None, {tuple(start): other}) == want
+
+
+def test_a_memo_hit_before_the_end_takes_the_stored_result():
+    # a climb that reaches a grouping whose stored result ends elsewhere
+    # returns that result as it is and stores its own path under it
+    inst, _ = planted_instance(5, 9, 12, 3, .75, .1)
+    for regime in Regime:
+        start = [1] * inst.m
+        plain = climb(inst, start, regime, None)
+        assert plain.machine_cell != start
+        stored = fit_parts(inst, [1, 2] * 4 + [3], regime)
+        memo = {tuple(plain.machine_cell): stored}
+        assert climb(inst, start, regime, None, memo) is stored
+        assert tuple(start) in memo and all(v is stored for v in memo.values())
