@@ -4,7 +4,8 @@ compare achieved efficacy against recorded expectations at 4 decimals.
 Manifest format (CSV with a header): columns `path,regime,expected` and
 optionally `name`. Paths are resolved relative to the manifest file.
 Regime is `no-residual` or `allow-residual`; expected is a rational or a
-decimal like `0.6957`. Lines starting with `#` are skipped. Missing
+decimal like `0.6957`. Lines starting with `#` are skipped; a row short
+of any of the three required columns is an error naming its line. Missing
 instance files produce an error row but do not stop the run; the exit
 code goes to 1 only when an instance solved to Optimal misses its
 expectation.
@@ -65,17 +66,23 @@ def regime_from_string(text: str) -> Regime:
 
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
     path = Path(path)
-    rows = [line for line in path.read_text().splitlines()
-            if line.strip() and not line.lstrip().startswith("#")]
+    numbered = [(n, line) for n, line in enumerate(
+        path.read_text().splitlines(), start=1)
+        if line.strip() and not line.lstrip().startswith("#")]
     entries: list[ManifestEntry] = []
-    if not rows:
+    if not numbered:
         return entries
-    reader = csv.DictReader(rows)
-    required = {"path", "regime", "expected"}
-    if reader.fieldnames is None or not required <= set(reader.fieldnames):
+    reader = csv.DictReader(line for _, line in numbered)
+    required = ("path", "regime", "expected")
+    if not set(required) <= set(reader.fieldnames or ()):
         raise ValueError(
             f"manifest needs columns path,regime,expected; got {reader.fieldnames}")
     for rec in reader:
+        missing = [col for col in required if rec[col] is None]
+        if missing:
+            line = numbered[reader.line_num - 1][0]
+            raise ValueError(f"{path} line {line}: missing column "
+                             + ",".join(missing))
         file = (path.parent / rec["path"]).resolve()
         name = (rec.get("name") or "").strip() or file.stem
         entries.append(ManifestEntry(

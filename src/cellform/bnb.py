@@ -13,13 +13,17 @@ machine partitions, encoded as restricted-growth strings with machines
 ordered densest-first. Its only prune is a child's bound: every part picks
 its best cell, or 0, and the unassigned machines add future_bounds, a bound
 on what they can add on their own. child_bounds scores all children of a
-node (the machine joins each open cell, or opens a new one) in one numpy
-step when the search enters the node. The children whose bound cannot beat
-the threshold are cut right there, counted as nodes and prunes in one step
-and never walked; the rest are visited best bound first, ties in label
-order. A machine's row enters the cell sums only when the search descends
-through it; leaves build their sums on demand. The search is a single
-depth-first loop over an explicit stack in plain Python and numpy.
+node in one numpy step when the search enters the node, one child per row
+of cell sums it is given: the machine joins each open cell or, below the
+label cap, the row after them, which the tree keeps at 0 and which stands
+for a new cell. A child's best other cell in a column, clipped at 0, comes
+from best_others, which the heuristic's screen shares. The children whose
+bound cannot beat the threshold are cut right there, counted as nodes and
+prunes in one step and never walked; the rest are visited best bound
+first, ties in label order. A machine's row enters the cell sums only when
+the search descends through it; leaves build their sums on demand. The
+search is a single depth-first loop over an explicit stack in plain Python
+and numpy.
 
 The bound is admissible in both regimes. In any completion a part's value
 is at most max(0, its best column sum over the assigned rows of a cell)
@@ -51,6 +55,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -107,41 +112,40 @@ def future_bounds(wo: np.ndarray) -> list[int]:
     return future
 
 
-def child_bounds(cell_sums: np.ndarray, row: np.ndarray, future: int,
-                 const: int, c_max: int) -> list:
+def best_others(sums: np.ndarray) -> np.ndarray:
+    """Per row and column of sums (..., k, p), the best sum of the other
+    rows in that column, clipped at 0: the column's second best where the
+    row holds the best, else the best. A lone row has no other, so 0."""
+    if sums.shape[-2] == 1:
+        return np.zeros_like(sums)
+    top = np.maximum(np.sort(sums, axis=-2)[..., -2:, :], 0)
+    second, best = top[..., :1, :], top[..., 1:, :]
+    return np.where(sums == best, second, best)
+
+
+def child_bounds(cell_sums: np.ndarray, row: np.ndarray, offset: int) -> list:
     """Optimistic value of the best completion of each child of a node.
 
-    cell_sums (k x p, k >= 0) holds the weight column sums of the node's k
-    open cells, row the weights of the machine it branches on and future an
-    upper bound on what the machines after that one add on their own (the
-    future_bounds entry of the next depth). Child c < k puts the machine in
-    cell c; child k, present when k < c_max, opens a new cell. In a child
-    each part takes max(best cell column sum, 0) - it may also open a fresh
-    cell or go residual, both worth at least 0 - and the later machines add
-    future. Admissible for both regimes (see the module docstring; the
-    no-residual feasible set is a subset of allow-residual's).
+    cell_sums (k x p, k >= 1) holds the weight column sums of the cells a
+    child may put the machine in, one child per row; a row of zeros is the
+    new cell. row holds the weights of the machine the node branches on,
+    and offset is an upper bound on what the machines after that one add
+    on their own (the future_bounds entry of the next depth) minus the
+    p_num*n1 constant. In a child each part takes max(best cell column
+    sum, 0) - it may also open a fresh cell or go residual, both worth at
+    least 0 - and offset is added. Admissible for both regimes (see the
+    module docstring; the no-residual feasible set is a subset of
+    allow-residual's).
 
-    A child changes one cell, so its best other cell in a column is the
-    column's second best where that cell holds the best, else the best.
-    The new cell is scored as a zero row of the parent plus the machine.
+    A child changes one row, so its best other cell in a column is
+    best_others of that row. The search passes its open cells and, below
+    the label cap, the spare row after them, which the tree keeps at 0.
 
     A stack of nodes is scored in the same step: cell_sums of shape
     (..., k, p) and row of shape (..., p) give one list of bounds per node.
     """
-    k, p = cell_sums.shape[-2:]
-    if k < c_max:
-        cell_sums = np.concatenate(
-            (cell_sums, np.zeros(cell_sums.shape[:-2] + (1, p), np.int64)),
-            axis=-2)
-    row = row[..., None, :]
-    if cell_sums.shape[-2] == 1:
-        other = 0
-    else:
-        top = np.maximum(np.sort(cell_sums, axis=-2)[..., -2:, :], 0)
-        second, best = top[..., :1, :], top[..., 1:, :]
-        other = np.where(cell_sums == best, second, best)
-    return (np.maximum(cell_sums + row, other).sum(axis=-1)
-            + (future - const)).tolist()
+    return (np.maximum(cell_sums + row[..., None, :], best_others(cell_sums))
+            .sum(axis=-1) + offset).tolist()
 
 
 def optimal_parts(S: np.ndarray, no_residual: bool) -> tuple[np.ndarray, int]:
@@ -237,10 +241,11 @@ class SubproblemStats:
     nodes: int = 0
     leaves: int = 0
     pruned_bound: int = 0
-    pruned_void: int = 0  # always 0 (the bound is the only prune); perfbench reads it
     max_depth: int = 0
-    max_cells: int = 0
-    engine: str = "python"
+    # constants that perfbench reads: the bound is the only prune, and the
+    # search runs in plain Python
+    pruned_void: ClassVar[int] = 0
+    engine: ClassVar[str] = "python"
 
 
 @dataclass
@@ -303,7 +308,8 @@ class Tree:
         self.prune = prune
         self.order = sorted(range(m),
                             key=lambda i: (-int(inst.matrix[i].sum()), i))
-        # cells the search has descended through; rows past the open ones are 0
+        # cells the search has descended through; rows past the open ones
+        # are 0, so the row after them is a child's new cell
         self.cell_sums = np.zeros((self.c_max, inst.p), dtype=np.int64)
         # per depth: the node's open cells, its child bounds, the children
         # left to visit (None until the search enters the node), the cursor
@@ -319,8 +325,10 @@ class Tree:
 
     def _weigh(self, lam: Ratio) -> None:
         wo = make_weights(self.inst, lam)[self.order]
-        self.lam, self.wo, self.future = lam, wo, future_bounds(wo)
+        self.lam, self.wo = lam, wo
         self.const = lam.num * self.inst.n1
+        # per depth, the child_bounds offset of the machines below it
+        self.offset = [f - self.const for f in future_bounds(wo)[1:]]
 
     def _resume(self) -> None:
         """Rebuild the cell sums of the stack at the new weights and re-bound
@@ -331,8 +339,8 @@ class Tree:
         for t in range(self.d + 1):
             if self.prune:
                 self.bounds[t] = child_bounds(
-                    cell_sums[:self.opened[t]], wo[t], self.future[t + 1],
-                    self.const, self.c_max)
+                    cell_sums[:min(self.opened[t] + 1, self.c_max)], wo[t],
+                    self.offset[t])
             if t < self.d:
                 cell_sums[self.trying[t]] += wo[t]
 
@@ -357,14 +365,14 @@ class Tree:
         deadline = (time.monotonic() + time_limit
                     if time_limit is not None else None)
         m, order = self.inst.m, self.order
-        wo, future, const = self.wo, self.future, self.const
+        wo, offset, const = self.wo, self.offset, self.const
         c_max, no_res, prune = self.c_max, self.no_res, self.prune
         cell_sums, opened, bounds = self.cell_sums, self.opened, self.bounds
         kids, cursor, trying = self.kids, self.cursor, self.trying
 
         best_F = _NEG_INF if incumbent_F is None else incumbent_F
         best_m = best_p = None
-        nodes = leaves = pruned_bound = max_depth = max_cells = 0
+        nodes = leaves = pruned_bound = max_depth = 0
         truncated = False
         d = self.d
         tick = 0
@@ -375,8 +383,8 @@ class Tree:
             if todo is None:  # entering the node: cut, then sort its children
                 n = min(k + 1, c_max)
                 if prune:
-                    b = bounds[d] = child_bounds(cell_sums[:k], wo[d],
-                                                 future[d + 1], const, c_max)
+                    b = bounds[d] = child_bounds(cell_sums[:n], wo[d],
+                                                 offset[d])
                     todo = [c for c in range(n) if b[c] > best_F]
                     todo.sort(key=b.__getitem__, reverse=True)
                 else:
@@ -392,9 +400,6 @@ class Tree:
                     pruned_bound += cut
                     if d + 1 > max_depth:
                         max_depth = d + 1
-                    kc = k + 1 if k < c_max and b[k] <= best_F else k
-                    if kc > max_cells:
-                        max_cells = kc
                     if truncated:
                         break
             i = cursor[d]
@@ -411,8 +416,6 @@ class Tree:
             nodes += 1
             if depth > max_depth:
                 max_depth = depth
-            if kc > max_cells:
-                max_cells = kc
 
             if node_limit is not None and nodes >= node_limit:
                 truncated = True
@@ -453,8 +456,7 @@ class Tree:
 
         self.d = d
         self.floor = best_F if incumbent_F is None else incumbent_F
-        stats = SubproblemStats(nodes, leaves, pruned_bound,
-                                max_depth=max_depth, max_cells=max_cells)
+        stats = SubproblemStats(nodes, leaves, pruned_bound, max_depth)
         solution = None
         if best_m is not None:
             solution = canonicalize(Solution(max(best_m), best_m, best_p))

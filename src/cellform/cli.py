@@ -142,8 +142,7 @@ def _lp_subsolver(lp_dir: Path, stem: str):
         if incumbent_F is not None and F < incumbent_F:
             raise RuntimeError(f"{want} has F={F}, below the incumbent's "
                                f"{incumbent_F}")
-        return SubproblemResult(F, sol, False,
-                                SubproblemStats(engine="lp-export"))
+        return SubproblemResult(F, sol, False, SubproblemStats())
 
     return run
 

@@ -38,8 +38,8 @@ from .bnb import Tree, solve_subproblem
 from .heuristic import climb
 from .instances import Instance
 from .rational import Ratio
-from .solutions import (Regime, Solution, canonicalize, efficacy,
-                        efficacy_ratio)
+from .solutions import (Regime, Solution, canonicalize, check_feasible,
+                        efficacy, efficacy_ratio)
 
 log = logging.getLogger(__name__)
 
@@ -142,7 +142,8 @@ def solve(
     within the budget.
 
     Seeds: a seed_solution supplies both the starting ratio (its unreduced
-    efficacy pair) and the incumbent; a bare seed_lambda only shifts the
+    efficacy pair) and the incumbent, and must be feasible in the regime
+    (ValueError lists its violations); a bare seed_lambda only shifts the
     first round's ratio and may not exceed 1. With neither, the loop starts
     at 0/1. time_limit is a shared wall-clock budget in seconds; node_limit
     caps the nodes of the whole solve, and each round gets what the rounds
@@ -165,6 +166,10 @@ def solve(
     incumbent: Solution | None = None
     if seed_solution is not None:
         incumbent = canonicalize(seed_solution.copy())
+        feasible, violations = check_feasible(inst, incumbent, regime)
+        if not feasible:
+            raise ValueError("infeasible seed_solution: "
+                             + "; ".join(violations))
         lam = raw_ratio(inst, incumbent)
     elif seed_lambda is not None:
         lam = seed_lambda

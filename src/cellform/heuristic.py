@@ -20,13 +20,16 @@ relaxation of `bnb.child_bounds`), so a neighbour whose bound is <= 0 is
 dropped without being fitted. The bounds come from the current grouping's
 per-cell weight sums: a relocation changes two of their rows and a merge
 folds one row into another, so one stacked `child_bounds` call scores
-every relocation of every machine (slab i is the sums with machine i's
-row taken out, plus a zero row for a new cell, which changes no max
-clipped at 0), and one more scores every merge; the splits of one cell
-are scored as a mask matrix times the cell's weight rows. The neighbours
-that pass are fitted by `fit_parts` at lam, which rejects a loser after
-one parametric round. Dropped neighbours cannot win, so the climb accepts
-the same groupings as one that fits every neighbour.
+every relocation of every machine, and one more scores every merge. The
+relocation stack is built in one allocation of m slabs of k + 1 rows:
+slab i is the sums with machine i's row taken out of its cell (a
+residual machine is in none) and the new cell's row of zeros. The splits
+of one cell are scored as a mask matrix times the cell's weight rows,
+against each column's best other cell from `bnb.best_others`, the top-2
+that the search's bound uses too. The neighbours that pass are fitted by
+`fit_parts` at lam, which rejects a loser after one parametric round.
+Dropped neighbours cannot win, so the climb accepts the same groupings as
+one that fits every neighbour.
 
 The memo: restarts of one `heuristic_solve` call often climb into a
 grouping an earlier restart already passed through, so a dict local to
@@ -59,7 +62,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bnb import child_bounds, label_cap, make_weights, optimal_parts
+from .bnb import (best_others, child_bounds, label_cap, make_weights,
+                  optimal_parts)
 from .instances import Instance
 from .rational import Ratio
 from .solutions import (Regime, Solution, canonicalize, efficacy,
@@ -176,10 +180,13 @@ def _moves(inst: Instance, sol: Solution, cap: int, deadline: float | None):
         return
     # relaxed value, minus num*n1, of moving machine i's weights out of its
     # cell into each cell c < k, or into a new cell (c = k): one stacked
-    # child_bounds call whose slab i is sol's sums with row i taken out
-    rest = np.repeat(sums[None], inst.m, axis=0)
-    rest[np.arange(inst.m), labels - 1] -= w
-    value = child_bounds(rest, w, 0, const, k + 1)
+    # child_bounds call whose slab i is sol's sums with machine i's row
+    # taken out, if it is in a cell, and a zero row for the new cell
+    rest = np.zeros((inst.m, k + 1, p), np.int64)
+    rest[:, :k] = sums
+    placed = np.flatnonzero(labels)
+    rest[placed, labels[placed] - 1] -= w[placed]
+    value = child_bounds(rest, w, -const)
     for i, src in enumerate(machine_cell):
         top = k if size[src] == 1 else min(k + 1, cap)
         for dst in range(1, top + 1):
@@ -192,17 +199,15 @@ def _moves(inst: Instance, sol: Solution, cap: int, deadline: float | None):
         # sol's sums with row d emptied
         rest = np.repeat(sums[None], k, axis=0)
         rest[np.arange(k), np.arange(k)] = 0
-        value = child_bounds(rest, sums, 0, const, k)
+        value = child_bounds(rest, sums, -const)
         for c in range(1, k + 1):
             for d in range(c + 1, k + 1):
                 if value[d - 1][c - 1] > 0:
                     yield [[c if v == d else v for v in machine_cell]]
     if k < cap:
         # per cell, the best sum of the other cells, or 0 for a fresh or
-        # residual place: the second best where the cell holds the best
-        second, first = np.sort(
-            np.concatenate((sums, np.zeros((1, p), np.int64))), axis=0)[-2:]
-        other = np.where(sums == first, second, first)
+        # residual place
+        other = best_others(sums)
         for c in range(k):
             if _past(deadline):
                 return

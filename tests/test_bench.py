@@ -12,6 +12,7 @@ from cellform.bench import (
     regime_from_string,
     run_bench,
 )
+from cellform.cli import main
 from cellform.instances import write_instance
 from cellform.solutions import Regime
 
@@ -56,6 +57,22 @@ def test_read_manifest_requires_columns(tmp_path):
     with pytest.raises(ValueError) as err:
         read_manifest(bad)
     assert "path,regime,expected" in str(err.value)
+
+
+@pytest.mark.parametrize("row, missing", [
+    ("inst/ref57.cfp,no-residual", "expected"),
+    ("inst/ref57.cfp", "regime,expected"),
+])
+def test_a_short_row_names_its_line_and_column(manifest_dir, capsys, row,
+                                               missing):
+    man = manifest_dir / "short.csv"
+    man.write_text("path,regime,expected\n# comment line\n\n" + row + "\n")
+    want = f"{man} line 4: missing column {missing}"
+    with pytest.raises(ValueError) as err:
+        read_manifest(man)
+    assert str(err.value) == want
+    assert main(["bench", str(man)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {want}"]
 
 
 def test_run_bench_rows(manifest_dir):

@@ -9,15 +9,16 @@ from pathlib import Path
 
 import pytest
 
+from cellform import cli
 from cellform.bnb import solve_subproblem
 from cellform.cli import main
 from cellform.dinkelbach import raw_ratio, trivial_solution
 from cellform.heuristic import climb
-from cellform.instances import load_instance, write_instance
+from cellform.instances import Instance, load_instance, write_instance
 from cellform.model import encode
 from cellform.rational import Ratio
-from cellform.solutions import (Regime, check_feasible, parse_solution,
-                                write_solution)
+from cellform.solutions import (Regime, Solution, check_feasible,
+                                parse_solution, write_solution)
 
 from helpers import planted_instance
 
@@ -124,6 +125,20 @@ def test_solve_bad_seed(inst_file, capsys, seed):
     assert main(["solve", str(inst_file), "--seed-lambda", seed]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")  # no traceback
+
+
+def test_solve_rejects_an_infeasible_seed(tmp_path, capsys, monkeypatch):
+    # a seed that breaks the regime ends the solve with one error line
+    inst = Instance("s", 5, 3, ((0, 0, 0), (0, 1, 0), (0, 1, 1), (0, 0, 0),
+                                (0, 0, 0)))
+    f = tmp_path / "s.cfp"
+    f.write_text(write_instance(inst))
+    monkeypatch.setattr(cli, "heuristic_solve", lambda inst, cfg: Solution(
+        2, [1, 2, 2, 1, 1], [0, 2, 2]))
+    assert main(["solve", str(f)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: infeasible seed_solution: part 1 is residual; "
+                   "cell 1 has no parts"]
 
 
 @pytest.mark.parametrize("command, flag, bad", [

@@ -3,6 +3,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 import cellform
 from cellform import dinkelbach
 from cellform.bnb import solve_subproblem
@@ -137,6 +139,23 @@ def test_seed_solution_protects_incumbent(ref_instance, two_cell):
                 time_limit=0.0)
     assert out.status is SolveStatus.TIME_LIMIT
     assert (out.solution.n1_in, out.solution.n0_in) == (15, 4)
+
+
+def test_an_infeasible_seed_is_rejected():
+    # the allow-residual optimum leaves a part residual and a cell without
+    # parts; taken as a no-residual seed it would be reported Optimal at 3/4,
+    # above the no-residual optimum 3/7
+    inst = Instance("s", 5, 3, ((0, 0, 0), (0, 1, 0), (0, 1, 1), (0, 0, 0),
+                                (0, 0, 0)))
+    seed = oracle_solve(inst, Regime.ALLOW_RESIDUAL)
+    assert seed.efficacy == Ratio(3, 4)
+    with pytest.raises(ValueError) as err:
+        solve(inst, Regime.NO_RESIDUAL, seed_solution=seed)
+    assert str(err.value) == ("infeasible seed_solution: part 1 is residual; "
+                              "cell 1 has no parts")
+    out = solve(inst, Regime.NO_RESIDUAL)
+    assert out.optimal and out.solution.efficacy == Ratio(3, 7)
+    assert solve(inst, Regime.ALLOW_RESIDUAL, seed_solution=seed).optimal
 
 
 def test_custom_subsolver_is_used(ref_instance):

@@ -187,31 +187,41 @@ def test_results_are_pinned(monkeypatch):
 def test_screen_never_skips_a_winner():
     # _moves drops a neighbour only when its relaxed value shows that no
     # part placement beats the grouping's efficacy lam; the neighbours it
-    # keeps come in the order of the unscreened stream
+    # keeps come in the order of the unscreened stream. Under
+    # allow-residual a second grouping puts some machines in no cell
     rng = random.Random(41)
     shapes = [(1, 1), (1, 6), (6, 1), (7, 9)]
     shapes += [(rng.randrange(1, 8), rng.randrange(1, 10)) for _ in range(150)]
-    skipped = 0
+    skipped = {"in cells": 0, "with residual machines": 0}
     for trial, (m, p) in enumerate(shapes):
         inst = random_instance(rng, m, p, rng.choice((0.3, 0.5, 0.7)))
         for regime in Regime:
             cap = label_cap(inst, regime)
             k = (1, cap, rng.randint(1, cap))[trial % 3]
-            sol = fit_parts(inst, heuristic._random_machine_cells(m, k, rng),
-                            regime)
-            lam = sol.efficacy
-            every = [c for batch in unscreened_moves(inst, sol.machine_cell, cap)
-                     for c in batch]
-            kept = [c for batch in heuristic._moves(inst, sol, cap, None)
-                    for c in batch]
-            rest = iter(every)
-            assert all(c in rest for c in kept), (inst.a, regime)
-            for cells in every:
-                if cells not in kept:
-                    skipped += 1
-                    cand = fit_parts(inst, renumber(cells), regime, lam)
-                    assert not cand.efficacy > lam, (inst.a, regime, cells)
-    assert skipped > 1000
+            cells = heuristic._random_machine_cells(m, k, rng)
+            groupings = {"in cells": cells}
+            if regime is Regime.ALLOW_RESIDUAL and m > 1:
+                out = rng.sample(range(m), rng.randrange(1, m))
+                groupings["with residual machines"] = renumber(
+                    [0 if i in out else c for i, c in enumerate(cells)])
+            for kind, cells in groupings.items():
+                sol = fit_parts(inst, cells, regime)
+                lam = sol.efficacy
+                every = [c for batch in unscreened_moves(
+                    inst, sol.machine_cell, cap) for c in batch]
+                kept = [c for batch in heuristic._moves(inst, sol, cap, None)
+                        for c in batch]
+                rest = iter(every)
+                assert all(c in rest for c in kept), (inst.a, regime, cells)
+                for cand_cells in every:
+                    if cand_cells not in kept:
+                        skipped[kind] += 1
+                        cand = fit_parts(inst, renumber(cand_cells), regime,
+                                         lam)
+                        assert not cand.efficacy > lam, (inst.a, regime,
+                                                         cells, cand_cells)
+    assert skipped["in cells"] > 1000, skipped
+    assert skipped["with residual machines"] > 300, skipped
 
 
 def test_large_cell_split_keeps_its_poles():
@@ -291,18 +301,18 @@ def test_relocations_and_merges_score_as_one_node_each(monkeypatch):
             relocations, *merges = calls
             for i, src in enumerate(sol.machine_cell):
                 top = k if size[src] == 1 else min(k + 1, cap)
-                one = sums.copy()
+                one = np.vstack((sums, np.zeros((1, inst.p), np.int64)))[:top]
                 one[src - 1] -= w[i]
                 assert relocations[i][:top] == child_bounds(
-                    one, w[i], 0, const, top), (inst.a, regime, i)
+                    one, w[i], -const), (inst.a, regime, i)
                 seen["singleton"] += bool(size[src] == 1)
             seen["k=cap"] += k == cap
             if k > 1:
                 for d in range(k):
                     one = sums.copy()
                     one[d] = 0
-                    assert merges[0][d] == child_bounds(one, sums[d], 0, const,
-                                                     k), (inst.a, regime, d)
+                    assert merges[0][d] == child_bounds(one, sums[d], -const), (
+                        inst.a, regime, d)
                 seen["merges"] += 1
     assert min(seen.values()) >= 20, seen
 
