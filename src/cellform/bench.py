@@ -5,10 +5,10 @@ Manifest format (CSV with a header): columns `path,regime,expected` and
 optionally `name`. Paths are resolved relative to the manifest file.
 Regime is `no-residual` or `allow-residual`; expected is a rational or a
 decimal like `0.6957`. Lines starting with `#` are skipped; a row short
-of any of the three required columns is an error naming its line. Missing
-instance files produce an error row but do not stop the run; the exit
-code goes to 1 only when an instance solved to Optimal misses its
-expectation.
+of any of the three required columns, or with a bad regime or expected
+value, is an error naming its line. Missing instance files produce an
+error row but do not stop the run; the exit code goes to 1 only when an
+instance solved to Optimal misses its expectation.
 """
 
 from __future__ import annotations
@@ -78,16 +78,18 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
         raise ValueError(
             f"manifest needs columns path,regime,expected; got {reader.fieldnames}")
     for rec in reader:
+        where = f"{path} line {numbered[reader.line_num - 1][0]}"
         missing = [col for col in required if rec[col] is None]
         if missing:
-            line = numbered[reader.line_num - 1][0]
-            raise ValueError(f"{path} line {line}: missing column "
-                             + ",".join(missing))
+            raise ValueError(f"{where}: missing column " + ",".join(missing))
         file = (path.parent / rec["path"]).resolve()
         name = (rec.get("name") or "").strip() or file.stem
-        entries.append(ManifestEntry(
-            file, regime_from_string(rec["regime"]),
-            parse_ratio(rec["expected"]), name))
+        try:
+            regime = regime_from_string(rec["regime"])
+            expected = parse_ratio(rec["expected"])
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        entries.append(ManifestEntry(file, regime, expected, name))
     return entries
 
 

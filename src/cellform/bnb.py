@@ -13,17 +13,21 @@ machine partitions, encoded as restricted-growth strings with machines
 ordered densest-first. Its only prune is a child's bound: every part picks
 its best cell, or 0, and the unassigned machines add future_bounds, a bound
 on what they can add on their own. child_bounds scores all children of a
-node in one numpy step when the search enters the node, one child per row
-of cell sums it is given: the machine joins each open cell or, below the
-label cap, the row after them, which the tree keeps at 0 and which stands
-for a new cell. A child's best other cell in a column, clipped at 0, comes
-from best_others, which the heuristic's screen shares. The children whose
-bound cannot beat the threshold are cut right there, counted as nodes and
-prunes in one step and never walked; the rest are visited best bound
-first, ties in label order. A machine's row enters the cell sums only when
-the search descends through it; leaves build their sums on demand. The
-search is a single depth-first loop over an explicit stack in plain Python
-and numpy.
+node in one numpy step, one child per row of cell sums it is given: the
+machine joins each open cell or, below the label cap, the row after them,
+which the tree keeps at 0 and which stands for a new cell. A child's best
+other cell in a column, clipped at 0, comes from best_others, which the
+heuristic's screen shares. The children whose bound cannot beat the
+threshold are cut right there, counted as nodes and prunes in one step and
+never walked; the rest are visited best bound first, ties in label order.
+The cost of child_bounds is per numpy call, not per element, so a node
+with two or more internal children left to visit also bounds all of their
+children in one stacked call, one slab of cell sums per child, and a child
+the search enters then makes no call of its own; a node with one child left
+lets that child bound its children when the search enters it. A machine's
+row enters the cell sums only when the search descends through it; leaves
+build their sums on demand. The search is a single depth-first loop over an
+explicit stack in plain Python and numpy.
 
 The bound is admissible in both regimes. In any completion a part's value
 is at most max(0, its best column sum over the assigned rows of a cell)
@@ -294,10 +298,15 @@ class Tree:
     run at a rising lambda.
 
     Each depth keeps the children of its node still to visit, in visiting
-    order, and a cursor into them. A run stops on the child it cannot
+    order, and a cursor into them, and, when two or more of them are
+    internal, the lists of their child bounds from one stacked call, in the
+    same order; descending into child i gives it list i as its bounds, and
+    leaving a node drops its bounds. A run stops on the child it cannot
     finish - the first leaf that beats incumbent_F, or the one a budget
     stops at - and leaves it under the cursor, so the next run starts by
-    visiting it again, at that run's lambda.
+    visiting it again, at that run's lambda. The stored lists hold the last
+    run's lambda, so a resumed run drops them and re-bounds the nodes on
+    the stack one call each.
     """
 
     def __init__(self, inst: Instance, regime: Regime, prune: bool = True):
@@ -311,11 +320,17 @@ class Tree:
         # cells the search has descended through; rows past the open ones
         # are 0, so the row after them is a child's new cell
         self.cell_sums = np.zeros((self.c_max, inst.p), dtype=np.int64)
-        # per depth: the node's open cells, its child bounds, the children
-        # left to visit (None until the search enters the node), the cursor
-        # into them and the label tried
+        # unit[c] * row, broadcast over the cells, puts row into cell c
+        self.unit = np.eye(self.c_max, dtype=np.int64)[:, :, None]
+        # per depth: the node's open cells, its child bounds (None until the
+        # search enters the node or bounds it from its parent's stack), the
+        # bounds of its children's children in visiting order (None for a
+        # node with one child left or whose children are leaves), the
+        # children left to visit (None until the search enters the node),
+        # the cursor into them and the label tried
         self.opened = [0] * m
         self.bounds = [None] * m
+        self.grand = [None] * m
         self.kids = [None] * m
         self.cursor = [0] * m
         self.trying = [-1] * m
@@ -331,11 +346,13 @@ class Tree:
         self.offset = [f - self.const for f in future_bounds(wo)[1:]]
 
     def _resume(self) -> None:
-        """Rebuild the cell sums of the stack at the new weights and re-bound
-        its nodes; the children left to visit are then checked against the
-        new bounds as the search reaches them."""
+        """Rebuild the cell sums of the stack at the new weights, drop the
+        stored bounds of the children's children, which hold the old lambda,
+        and re-bound the stack's nodes; the children left to visit are then
+        checked against the new bounds as the search reaches them."""
         wo, cell_sums = self.wo, self.cell_sums
         cell_sums[:] = 0
+        self.grand = [None] * self.inst.m
         for t in range(self.d + 1):
             if self.prune:
                 self.bounds[t] = child_bounds(
@@ -368,6 +385,7 @@ class Tree:
         wo, offset, const = self.wo, self.offset, self.const
         c_max, no_res, prune = self.c_max, self.no_res, self.prune
         cell_sums, opened, bounds = self.cell_sums, self.opened, self.bounds
+        grand, unit = self.grand, self.unit
         kids, cursor, trying = self.kids, self.cursor, self.trying
 
         best_F = _NEG_INF if incumbent_F is None else incumbent_F
@@ -383,10 +401,24 @@ class Tree:
             if todo is None:  # entering the node: cut, then sort its children
                 n = min(k + 1, c_max)
                 if prune:
-                    b = bounds[d] = child_bounds(cell_sums[:n], wo[d],
-                                                 offset[d])
+                    b = bounds[d]
+                    if b is None:
+                        b = bounds[d] = child_bounds(cell_sums[:n], wo[d],
+                                                     offset[d])
                     todo = [c for c in range(n) if b[c] > best_F]
                     todo.sort(key=b.__getitem__, reverse=True)
+                    # two or more internal children: bound all of their
+                    # children in one call, child i's slab holding the
+                    # machine in cell todo[i]. A child that opens no cell
+                    # gets one zero row more than it has children, which
+                    # changes none of its bounds, as best_others clips at 0
+                    if len(todo) > 1 and d + 1 < m:
+                        rows = min(k + 2, c_max)
+                        grand[d] = child_bounds(
+                            cell_sums[:rows] + unit[todo, :rows] * wo[d],
+                            wo[d + 1], offset[d + 1])
+                    else:
+                        grand[d] = None
                 else:
                     todo = list(range(n))
                 kids[d] = todo
@@ -404,7 +436,7 @@ class Tree:
                         break
             i = cursor[d]
             if i == len(todo):
-                kids[d] = None
+                kids[d] = bounds[d] = None
                 d -= 1
                 if d >= 0:  # leave the parent's cell the way it was
                     cell_sums[trying[d]] -= wo[d]
@@ -451,6 +483,8 @@ class Tree:
                 continue
 
             cell_sums[c] += wo[d]
+            if grand[d] is not None:  # the child's entry makes no call
+                bounds[depth] = grand[d][i][:min(kc + 1, c_max)]
             d = depth
             opened[d] = kc
 

@@ -75,6 +75,23 @@ def test_a_short_row_names_its_line_and_column(manifest_dir, capsys, row,
     assert capsys.readouterr().err.splitlines() == [f"error: {want}"]
 
 
+@pytest.mark.parametrize("row, why", [
+    ("inst/ref57.cfp,no-residual,abc", "cannot parse rational from 'abc'"),
+    ("inst/ref57.cfp,loose,0.5", "unknown regime 'loose' "
+                                 "(expected no-residual or allow-residual)"),
+])
+def test_a_bad_value_names_its_line(manifest_dir, capsys, row, why):
+    man = manifest_dir / "bad.csv"
+    man.write_text("path,regime,expected\n# comment line\n"
+                   "inst/ref57.cfp,no-residual,0.6957\n" + row + "\n")
+    want = f"{man} line 4: {why}"
+    with pytest.raises(ValueError) as err:
+        read_manifest(man)
+    assert str(err.value) == want
+    assert main(["bench", str(man)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {want}"]
+
+
 def test_run_bench_rows(manifest_dir):
     rows = run_bench(read_manifest(manifest_dir / "run.csv"), time_limit=30)
     assert [r.match for r in rows] == ["yes", "yes", "-"]

@@ -274,6 +274,11 @@ def test_stacked_child_bounds_equal_one_call_per_node():
             want = child_bounds(child_rows(sums[node], c_max), rows[node],
                                 future - const)
             assert got[node].tolist() == want, (sums[node], rows[node], c_max)
+            # one zero row more, as the search's stacked call gives a child
+            # that opens no cell, leaves every bound as it was
+            spare = np.vstack((child_rows(sums[node], c_max),
+                               np.zeros((1, p), dtype=np.int64)))
+            assert child_bounds(spare, rows[node], future - const)[:-1] == want
         seen["k=1"] += k == 1
         seen["zero row"] += k < c_max
         seen["k=c_max"] += k == c_max
@@ -586,6 +591,49 @@ def test_resumed_tree_agrees_with_a_fresh_search():
             with pytest.raises(ValueError):
                 tree.run(lams[-1], None)
     assert resumed >= 200 and answered >= 40, (resumed, answered)
+
+
+def test_a_search_chopped_by_node_budgets_agrees_with_a_fresh_search():
+    # a tree run under node budgets of 2-40 at one lambda until a run ends
+    # unbudgeted, then the same at higher lambdas, returns at each lambda
+    # the grouping that an unbudgeted tree run through the same lambdas
+    # returns, and its verdict equals a fresh search's: a run stopped
+    # anywhere, between the stacked call that bounds the children's
+    # children and the descents that use it included, resumes the same
+    # search. A budget of 1 would stop every run on the same child, so
+    # budgets start at 2
+    rng = random.Random(97)
+    chopped = answered = 0
+    for trial in range(80):
+        if trial % 2:
+            inst = random_instance(rng, rng.randrange(5, 8),
+                                   rng.randrange(3, 9), rng.choice((.3, .5)))
+        else:
+            inst, _ = planted_instance(trial, 9, 12, 3, .7, .15)
+        for regime in Regime:
+            lams = sorted({Ratio(rng.randrange(0, 20), 20) for _ in range(3)})
+            tree, twin = Tree(inst, regime), Tree(inst, regime)
+            for lam in lams:
+                while True:
+                    res = tree.run(lam, 0, node_limit=rng.randrange(2, 41))
+                    if not res.truncated:
+                        break
+                    assert res.solution is None
+                    chopped += 1
+                whole = twin.run(lam, 0)
+                fresh = solve_subproblem(inst, lam, regime, incumbent_F=0)
+                where = (inst.a, regime, [str(x) for x in lams], str(lam))
+                assert res.best_F == whole.best_F, where
+                assert res.solution == whole.solution, where
+                assert (res.solution is None) == (fresh.solution is None), where
+                if res.solution is None:
+                    continue
+                sol = res.solution
+                assert check_feasible(inst, sol, regime)[0], where
+                F = leaf_F(inst, lam, sol.machine_cell, sol.part_cell)
+                assert F == res.best_F > 0, where
+                answered += 1
+    assert chopped >= 300 and answered >= 200, (chopped, answered)
 
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 import cellform
-from cellform import dinkelbach
-from cellform.bnb import solve_subproblem
+from cellform import bnb, dinkelbach
+from cellform.bnb import child_bounds, solve_subproblem
 from cellform.dinkelbach import (
     SolveStatus,
     raw_ratio,
@@ -323,7 +323,8 @@ def test_time_limit_holds_through_the_polish(monkeypatch):
         return climb(inst, machine_cell, regime, deadline)
 
     monkeypatch.setattr(dinkelbach, "climb", spy_climb)
-    inst, _ = planted_instance(0, 20, 30, 6, .8, .08)
+    # a row that does not close within 1 s (nor within 20 s)
+    inst, _ = planted_instance(0, 24, 40, 7, .75, .08)
     for regime in Regime:
         seed = trivial_solution(inst)
         deadlines.clear()
@@ -398,14 +399,25 @@ def test_planted_solves_are_pinned():
         assert nodes == want_nodes[regime], regime
 
 
-def test_baseline_row_solve_is_pinned():
+def test_baseline_row_solve_is_pinned(monkeypatch):
     # a heuristic-seeded proof of the planted 16x24/k5 .8/.08 baseline row;
-    # its node count is where a weaker bound shows first
+    # its node count is where a weaker bound shows first, and its count of
+    # the search's child_bounds calls (a stacked call counts as one) is the
+    # machine-independent cost of its nodes: a node with two or more
+    # internal children left bounds all of their children in one call
     inst, _ = planted_instance(0, 16, 24, 5, .8, .08)
     regime = Regime.NO_RESIDUAL
     seed = heuristic_solve(inst, SearchConfig(regime=regime, restarts=8,
                                               rng_seed=0))
+    calls = {"one node": 0, "stacked": 0}
+
+    def spy(cell_sums, row, offset):
+        calls["one node" if cell_sums.ndim == 2 else "stacked"] += 1
+        return child_bounds(cell_sums, row, offset)
+
+    monkeypatch.setattr(bnb, "child_bounds", spy)
     out = solve(inst, regime, seed_solution=seed)
     assert out.status is SolveStatus.OPTIMAL
     assert out.solution.efficacy == seed.efficacy == Ratio(55, 93)
     assert out.nodes == 54370
+    assert calls == {"one node": 2324, "stacked": 2047}
