@@ -304,7 +304,11 @@ class Tree:
     leaving a node drops its bounds. A run stops on the child it cannot
     finish - the first leaf that beats incumbent_F, or the one a budget
     stops at - and leaves it under the cursor, so the next run starts by
-    visiting it again, at that run's lambda. The stored lists hold the last
+    visiting it again, at that run's lambda. A budget stops a run on a
+    child it has just counted, so `pending` makes the next run, whose first
+    visit is that child, start its count one lower: the child is not
+    counted twice, and each run under a budget of n nodes moves the search
+    n nodes on. The stored lists hold the last
     run's lambda, so a resumed run drops them and re-bounds the nodes on
     the stack one call each.
     """
@@ -335,6 +339,7 @@ class Tree:
         self.cursor = [0] * m
         self.trying = [-1] * m
         self.d = 0  # deepest node on the stack; -1 once the search is done
+        self.pending = False  # the last run's budget stopped on a counted child
         self.lam = None  # the last run's lambda
         self.floor = None  # the last run's prune threshold at its end
 
@@ -393,6 +398,9 @@ class Tree:
         nodes = leaves = pruned_bound = max_depth = 0
         truncated = False
         d = self.d
+        if self.pending:  # the last run counted the child it stopped on
+            nodes = -1
+            self.pending = False
         tick = 0
 
         while d >= 0:
@@ -450,13 +458,13 @@ class Tree:
                 max_depth = depth
 
             if node_limit is not None and nodes >= node_limit:
-                truncated = True
+                truncated = self.pending = True
                 break
             tick += 1
             if deadline is not None and tick >= 1024:
                 tick = 0
                 if time.monotonic() > deadline:
-                    truncated = True
+                    truncated = self.pending = True
                     break
             cursor[d] = i + 1
             trying[d] = c

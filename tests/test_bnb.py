@@ -594,14 +594,17 @@ def test_resumed_tree_agrees_with_a_fresh_search():
 
 
 def test_a_search_chopped_by_node_budgets_agrees_with_a_fresh_search():
-    # a tree run under node budgets of 2-40 at one lambda until a run ends
+    # a tree run under node budgets of 1-40 at one lambda until a run ends
     # unbudgeted, then the same at higher lambdas, returns at each lambda
     # the grouping that an unbudgeted tree run through the same lambdas
     # returns, and its verdict equals a fresh search's: a run stopped
     # anywhere, between the stacked call that bounds the children's
     # children and the descents that use it included, resumes the same
-    # search. A budget of 1 would stop every run on the same child, so
-    # budgets start at 2
+    # search. A run stopped by its budget has counted the child it stopped
+    # on, and the next run visits that child without counting it again, so
+    # the runs at one lambda count no more nodes than the unbudgeted run
+    # and every budgeted run moves the search on; the runs are capped at one
+    # per node of the unbudgeted run, plus the one that ends unbudgeted
     rng = random.Random(97)
     chopped = answered = 0
     for trial in range(80):
@@ -614,15 +617,20 @@ def test_a_search_chopped_by_node_budgets_agrees_with_a_fresh_search():
             lams = sorted({Ratio(rng.randrange(0, 20), 20) for _ in range(3)})
             tree, twin = Tree(inst, regime), Tree(inst, regime)
             for lam in lams:
-                while True:
-                    res = tree.run(lam, 0, node_limit=rng.randrange(2, 41))
+                where = (inst.a, regime, [str(x) for x in lams], str(lam))
+                whole = twin.run(lam, 0)
+                counted = 0
+                for _ in range(whole.stats.nodes + 1):
+                    res = tree.run(lam, 0, node_limit=rng.randrange(1, 41))
+                    counted += res.stats.nodes
                     if not res.truncated:
                         break
                     assert res.solution is None
                     chopped += 1
-                whole = twin.run(lam, 0)
+                else:
+                    pytest.fail(f"budgeted runs make no progress: {where}")
+                assert counted <= whole.stats.nodes, where
                 fresh = solve_subproblem(inst, lam, regime, incumbent_F=0)
-                where = (inst.a, regime, [str(x) for x in lams], str(lam))
                 assert res.best_F == whole.best_F, where
                 assert res.solution == whole.solution, where
                 assert (res.solution is None) == (fresh.solution is None), where

@@ -120,6 +120,25 @@ def test_solve_verbose_logs_iterations(inst_file, caplog, capsys):
     capsys.readouterr()
 
 
+def test_solve_verbose_logs_one_heuristic_line(inst_file, caplog, capsys):
+    # -v logs one line per heuristic_solve call: the climbs run out of the
+    # restarts, the certificate tree's nodes, the relocation rows that
+    # bought them and whether the tree certified the seed. The report on
+    # stdout is the one a run without -v prints, up to its timings
+    with caplog.at_level(logging.INFO, logger="cellform.heuristic"):
+        assert main(["-v", "solve", str(inst_file)]) == 0
+    msgs = [r.getMessage() for r in caplog.records
+            if r.name == "cellform.heuristic"]
+    assert len(msgs) == 1
+    assert re.fullmatch(r"heuristic climbs=1/8 tree_nodes=\d+ "
+                        r"scored_rows=\d+ certified=yes", msgs[0]), msgs
+    verbose = capsys.readouterr().out
+    assert main(["solve", str(inst_file)]) == 0
+    plain = capsys.readouterr().out
+    untimed = re.compile(r"(time|seed)_ms=\d+")
+    assert untimed.sub("", verbose) == untimed.sub("", plain)
+
+
 @pytest.mark.parametrize("seed", ["bogus", "2/1"])
 def test_solve_bad_seed(inst_file, capsys, seed):
     assert main(["solve", str(inst_file), "--seed-lambda", seed]) == 1

@@ -1,3 +1,4 @@
+import logging
 import random
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from cellform import heuristic
-from cellform.bnb import child_bounds, label_cap, make_weights, optimal_parts
+from cellform.bnb import (Tree, child_bounds, label_cap, make_weights,
+                          optimal_parts)
 from cellform.heuristic import SearchConfig, climb, fit_parts, heuristic_solve
 from cellform.instances import Instance
 from cellform.oracle import oracle_solve
@@ -141,22 +143,24 @@ def test_time_budget_still_returns_feasible(ref_instance):
 # (generator args, regime, canonical machine_cell, efficacy, fit_parts
 # calls, optimal_parts rounds) with rng_seed=0 and 8 restarts; the counts
 # are the machine-independent cost of the climb, so a change to the move
-# order, the acceptance rule, the screen of _moves, the climb memo or the
-# parametric loop of fit_parts must update this table knowingly. fit_parts
-# is called only on the neighbours that pass the screen (1204-1898 calls
-# per row without it, with the same groupings), and not at all past a
-# grouping that an earlier restart's finished climb passed through
-# (40-201 calls per row; 58-231 without the memo)
+# order, the acceptance rule, the screen of _moves, the climb memo, the
+# certificate or the parametric loop of fit_parts must update this table
+# knowingly. fit_parts is called only on the neighbours that pass the
+# screen (1204-1898 calls per row without it, with the same groupings),
+# not at all past a grouping that an earlier restart's finished climb
+# passed through (40-201 calls per row without the certificate; 58-231
+# without the memo either), and not in the restarts after the tree has
+# certified the incumbent (5-40 calls per row)
 PINNED_RESULTS = [
-    ((1, 8, 10, 3, .7, .15), "no-residual", [1, 1, 2, 3, 4, 1, 4, 5], "2/3", 74, 139),
-    ((1, 8, 10, 3, .7, .15), "allow-residual", [1, 1, 2, 3, 4, 1, 4, 5], "2/3", 58, 123),
-    ((2, 9, 12, 3, .7, .15), "no-residual", [1, 1, 2, 3, 2, 4, 1, 2, 1], "23/35", 78, 128),
-    ((2, 9, 12, 3, .7, .15), "allow-residual", [1, 1, 2, 3, 2, 4, 5, 2, 1], "2/3", 40, 87),
-    ((3, 10, 12, 4, .7, .12), "no-residual", [1, 2, 1, 3, 2, 3, 4, 5, 3, 6], "5/8", 201, 290),
-    ((3, 10, 12, 4, .7, .12), "allow-residual", [1, 2, 1, 3, 2, 3, 4, 5, 3, 6], "20/31", 83, 174),
+    ((1, 8, 10, 3, .7, .15), "no-residual", [1, 1, 2, 3, 4, 1, 4, 5], "2/3", 5, 10),
+    ((1, 8, 10, 3, .7, .15), "allow-residual", [1, 1, 2, 3, 4, 1, 4, 5], "2/3", 5, 11),
+    ((2, 9, 12, 3, .7, .15), "no-residual", [1, 1, 2, 3, 2, 4, 1, 2, 1], "23/35", 9, 15),
+    ((2, 9, 12, 3, .7, .15), "allow-residual", [1, 1, 2, 3, 2, 4, 5, 2, 1], "2/3", 6, 12),
+    ((3, 10, 12, 4, .7, .12), "no-residual", [1, 2, 1, 3, 2, 3, 4, 5, 3, 6], "5/8", 32, 46),
+    ((3, 10, 12, 4, .7, .12), "allow-residual", [1, 2, 1, 3, 2, 3, 4, 5, 3, 6], "20/31", 14, 29),
     # here the climb takes a split whose batch holds several improving ones
-    ((7, 10, 12, 4, .6, .2), "no-residual", [1, 2, 3, 4, 3, 1, 2, 2, 4, 2], "25/46", 96, 185),
-    ((7, 10, 12, 4, .6, .2), "allow-residual", [1, 2, 3, 4, 3, 1, 2, 2, 4, 2], "25/46", 90, 187),
+    ((7, 10, 12, 4, .6, .2), "no-residual", [1, 2, 3, 4, 3, 1, 2, 2, 4, 2], "25/46", 40, 80),
+    ((7, 10, 12, 4, .6, .2), "allow-residual", [1, 2, 3, 4, 3, 1, 2, 2, 4, 2], "25/46", 39, 82),
 ]
 
 
@@ -403,3 +407,72 @@ def test_a_memo_hit_before_the_end_takes_the_stored_result():
         memo = {tuple(plain.machine_cell): stored}
         assert climb(inst, start, regime, None, memo) is stored
         assert tuple(start) in memo and all(v is stored for v in memo.values())
+
+
+def _summaries(caplog):
+    # the one line per call: climbs run/restarts, tree nodes, scored rows
+    # and whether the tree certified the seed
+    return [r.args for r in caplog.records if r.name == "cellform.heuristic"]
+
+
+def test_a_certified_seed_is_optimal(caplog):
+    # a tree run that completes without a grouping at the seed's efficacy
+    # proves that no grouping beats it, so the seed is the oracle's optimum
+    rng = random.Random(61)
+    certified = early = 0
+    for trial in range(40):
+        inst = random_instance(rng, rng.randrange(2, 6), rng.randrange(2, 7),
+                               rng.choice((0.3, 0.5, 0.7)))
+        for regime in Regime:
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="cellform.heuristic"):
+                sol = heuristic_solve(inst, SearchConfig(
+                    regime=regime, restarts=4, rng_seed=trial))
+            [(climbs, restarts, nodes, rows, verdict)] = _summaries(caplog)
+            assert nodes <= rows and restarts == 4, (inst.a, regime)
+            if verdict == "yes":
+                certified += 1
+                early += climbs < restarts
+                assert sol.efficacy == oracle_solve(inst, regime).efficacy, (
+                    inst.a, regime)
+            else:
+                assert climbs == restarts, (inst.a, regime)
+    assert certified >= 60 and early >= 40, (certified, early)
+
+
+def test_a_seed_that_cannot_be_certified_runs_every_climb(monkeypatch, caplog):
+    # planted 24x40/k7 is too hard for the nodes its climbs buy: the tree
+    # never certifies, all 8 climbs run and give the answer of the climbs
+    # without screen, memo or tree, and the tree never takes more nodes than
+    # the relocation rows that the finished climbs scored, m*(k+1) for each
+    # grouping they passed through
+    inst, _ = planted_instance(0, 24, 40, 7, .75, .08)
+    regime = Regime.NO_RESIDUAL
+    climbs = rows = nodes = 0
+
+    def spy(inst, cells, regime, deadline, memo):
+        nonlocal climbs, rows
+        known = set(memo)
+        sol = climb(inst, cells, regime, deadline, memo)
+        climbs += 1
+        rows += sum(inst.m * (max(key) + 1) for key in memo if key not in known)
+        return sol
+
+    class Counted(Tree):
+        def run(self, *args, **kwargs):
+            nonlocal nodes
+            res = super().run(*args, **kwargs)
+            nodes += res.stats.nodes
+            assert nodes <= rows
+            return res
+
+    monkeypatch.setattr(heuristic, "climb", spy)
+    monkeypatch.setattr(heuristic, "Tree", Counted)
+    with caplog.at_level(logging.INFO, logger="cellform.heuristic"):
+        got = heuristic_solve(inst, SearchConfig(regime=regime, restarts=8,
+                                                 rng_seed=0))
+    want = unscreened_heuristic_solve(inst, regime, 8, 0)
+    assert (got.machine_cell, got.part_cell, got.efficacy) == (
+        want.machine_cell, want.part_cell, want.efficacy)
+    assert _summaries(caplog) == [(8, 8, nodes, rows, "no")]
+    assert climbs == 8 and 0 < nodes <= rows, (nodes, rows)
