@@ -276,7 +276,6 @@ def solve_subproblem(
     incumbent_F: int | None = None,
     time_limit: float | None = None,
     node_limit: int | None = None,
-    prune: bool = True,
 ) -> SubproblemResult:
     """Maximize F = q_den*n1_in - p_num*(n0_in + n1) over feasible groupings:
     one run of a fresh Tree.
@@ -287,10 +286,11 @@ def solve_subproblem(
     its F; solution=None means that no grouping beats it (proven unless a
     budget stopped the search) and best_F == incumbent_F. Without
     incumbent_F, and unless a budget stops the search, the returned maximum
-    is exact whatever its sign. `prune=False` disables the bound prune.
+    is exact whatever its sign. A run under node_limit=n counts at most n
+    nodes and visits every node it counts, so a budget of exactly the nodes
+    a search needs lets it finish.
     """
-    return Tree(inst, regime, prune).run(lam, incumbent_F, time_limit,
-                                         node_limit)
+    return Tree(inst, regime).run(lam, incumbent_F, time_limit, node_limit)
 
 
 class Tree:
@@ -304,21 +304,21 @@ class Tree:
     leaving a node drops its bounds. A run stops on the child it cannot
     finish - the first leaf that beats incumbent_F, or the one a budget
     stops at - and leaves it under the cursor, so the next run starts by
-    visiting it again, at that run's lambda. A budget stops a run on a
-    child it has just counted, so `pending` makes the next run, whose first
-    visit is that child, start its count one lower: the child is not
-    counted twice, and each run under a budget of n nodes moves the search
-    n nodes on. The stored lists hold the last
-    run's lambda, so a resumed run drops them and re-bounds the nodes on
-    the stack one call each.
+    visiting it again, at that run's lambda. A run checks its node budget
+    and its deadline before it counts a child, so a budget stops it on a
+    child it has not counted: a run under a budget of n nodes counts at
+    most n, visits every node it counts and moves the search that far on,
+    and one whose budget equals the nodes left to visit finishes. A leaf
+    that stopped a run is counted again when the next run visits it. The
+    stored lists hold the last run's lambda, so a resumed run drops them
+    and re-bounds the nodes on the stack one call each.
     """
 
-    def __init__(self, inst: Instance, regime: Regime, prune: bool = True):
+    def __init__(self, inst: Instance, regime: Regime):
         m = inst.m
         self.inst = inst
         self.no_res = regime is Regime.NO_RESIDUAL
         self.c_max = label_cap(inst, regime)
-        self.prune = prune
         self.order = sorted(range(m),
                             key=lambda i: (-int(inst.matrix[i].sum()), i))
         # cells the search has descended through; rows past the open ones
@@ -339,7 +339,6 @@ class Tree:
         self.cursor = [0] * m
         self.trying = [-1] * m
         self.d = 0  # deepest node on the stack; -1 once the search is done
-        self.pending = False  # the last run's budget stopped on a counted child
         self.lam = None  # the last run's lambda
         self.floor = None  # the last run's prune threshold at its end
 
@@ -359,10 +358,9 @@ class Tree:
         cell_sums[:] = 0
         self.grand = [None] * self.inst.m
         for t in range(self.d + 1):
-            if self.prune:
-                self.bounds[t] = child_bounds(
-                    cell_sums[:min(self.opened[t] + 1, self.c_max)], wo[t],
-                    self.offset[t])
+            self.bounds[t] = child_bounds(
+                cell_sums[:min(self.opened[t] + 1, self.c_max)], wo[t],
+                self.offset[t])
             if t < self.d:
                 cell_sums[self.trying[t]] += wo[t]
 
@@ -388,7 +386,7 @@ class Tree:
                     if time_limit is not None else None)
         m, order = self.inst.m, self.order
         wo, offset, const = self.wo, self.offset, self.const
-        c_max, no_res, prune = self.c_max, self.no_res, self.prune
+        c_max, no_res = self.c_max, self.no_res
         cell_sums, opened, bounds = self.cell_sums, self.opened, self.bounds
         grand, unit = self.grand, self.unit
         kids, cursor, trying = self.kids, self.cursor, self.trying
@@ -398,9 +396,6 @@ class Tree:
         nodes = leaves = pruned_bound = max_depth = 0
         truncated = False
         d = self.d
-        if self.pending:  # the last run counted the child it stopped on
-            nodes = -1
-            self.pending = False
         tick = 0
 
         while d >= 0:
@@ -408,32 +403,29 @@ class Tree:
             todo = kids[d]
             if todo is None:  # entering the node: cut, then sort its children
                 n = min(k + 1, c_max)
-                if prune:
-                    b = bounds[d]
-                    if b is None:
-                        b = bounds[d] = child_bounds(cell_sums[:n], wo[d],
-                                                     offset[d])
-                    todo = [c for c in range(n) if b[c] > best_F]
-                    todo.sort(key=b.__getitem__, reverse=True)
-                    # two or more internal children: bound all of their
-                    # children in one call, child i's slab holding the
-                    # machine in cell todo[i]. A child that opens no cell
-                    # gets one zero row more than it has children, which
-                    # changes none of its bounds, as best_others clips at 0
-                    if len(todo) > 1 and d + 1 < m:
-                        rows = min(k + 2, c_max)
-                        grand[d] = child_bounds(
-                            cell_sums[:rows] + unit[todo, :rows] * wo[d],
-                            wo[d + 1], offset[d + 1])
-                    else:
-                        grand[d] = None
+                b = bounds[d]
+                if b is None:
+                    b = bounds[d] = child_bounds(cell_sums[:n], wo[d],
+                                                 offset[d])
+                todo = [c for c in range(n) if b[c] > best_F]
+                todo.sort(key=b.__getitem__, reverse=True)
+                # two or more internal children: bound all of their children
+                # in one call, child i's slab holding the machine in cell
+                # todo[i]. A child that opens no cell gets one zero row more
+                # than it has children, which changes none of its bounds, as
+                # best_others clips at 0
+                if len(todo) > 1 and d + 1 < m:
+                    rows = min(k + 2, c_max)
+                    grand[d] = child_bounds(
+                        cell_sums[:rows] + unit[todo, :rows] * wo[d],
+                        wo[d + 1], offset[d + 1])
                 else:
-                    todo = list(range(n))
+                    grand[d] = None
                 kids[d] = todo
                 cursor[d] = 0
                 cut = n - len(todo)
                 if cut:  # counted in one step, never walked
-                    if node_limit is not None and nodes + cut >= node_limit:
+                    if node_limit is not None and nodes + cut > node_limit:
                         cut = node_limit - nodes
                         truncated = True
                     nodes += cut
@@ -452,24 +444,23 @@ class Tree:
             c = todo[i]
             kc = k + 1 if c == k else k
 
-            depth = d + 1
-            nodes += 1
-            if depth > max_depth:
-                max_depth = depth
-
             if node_limit is not None and nodes >= node_limit:
-                truncated = self.pending = True
+                truncated = True
                 break
             tick += 1
             if deadline is not None and tick >= 1024:
                 tick = 0
                 if time.monotonic() > deadline:
-                    truncated = self.pending = True
+                    truncated = True
                     break
+            depth = d + 1
+            nodes += 1
+            if depth > max_depth:
+                max_depth = depth
             cursor[d] = i + 1
             trying[d] = c
 
-            if prune and bounds[d][c] <= best_F:
+            if bounds[d][c] <= best_F:
                 pruned_bound += 1
                 continue
 

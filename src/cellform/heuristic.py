@@ -32,43 +32,25 @@ that the search's bound uses too. The neighbours that pass are fitted by
 Dropped neighbours cannot win, so the climb accepts the same groupings as
 one that fits every neighbour.
 
-The memo: restarts of one `heuristic_solve` call often climb into a
-grouping an earlier restart already passed through, so a dict local to
-the call maps the machine labels of every grouping on a finished climb's
-path to that climb's result, and a later climb that reaches one of them
-stops there. This is exact. `_moves` reads only a grouping's machine
-labels and its efficacy, and that efficacy is the exact optimum of its
-partition: a start is fitted from ratio 0, and every accepted neighbour
-is a `fit_parts` result that beat its ratio. So the rest of a climb is a
-function of the grouping alone. The labels are renumbered in every
-grouping a climb visits, so equal partitions meet under one key. At the
-stored end grouping itself a climb keeps its own fit, whose part labels
-may break ties differently; elsewhere it takes the stored result, which
-is the one its own rest of the climb would reach. A climb cut by the
-deadline stores nothing, and the memo dies with the call, so results do
-not depend on earlier calls.
-
 The certificate: after every climb but the last, one `bnb.Tree` of the
 call resumes at lam = the best efficacy so far with incumbent_F = 0. A
 run that completes without a grouping proves that no grouping has F > 0
 at lam, that is, none beats the incumbent. A later climb could then only
 tie it, and ties keep the first, so the restarts stop with the result
 that running them all would give, part labels included. A run that stops
-on a better grouping is not resumed until a later climb raises the
-incumbent, since at the same lam it would stop on the same grouping; the
-better grouping is not taken, so the result stays that of the climbs. The
-climbs buy the tree's nodes: its budget is the relocation rows that the
-finished climbs of the call have scored - m*(k+1) for each grouping they
-passed through, the memo's new keys - minus the nodes it has used, so
-one scored neighbour buys one bounded child, with no constant and no
-option. A run stopped by that budget resumes where it stopped, at the
-next run's lam, and does not count the child it stopped on twice. A call
-whose tree never certifies runs every restart, as it would without the
-tree, and takes about twice as long: 2.02x (the fastest of three
-interleaved timings each; single pairs 1.95-2.06x) on 24 planted
-16x24/k5 and 24x40/k7 instances at 8 restarts, with 1 215 633 tree
-nodes against 1 370 104 scored rows. The budget caps the tree's nodes,
-not its time.
+on a better grouping does not take it, so the result stays that of the
+climbs; resumed at the same lam, the tree stops on that grouping again
+after one node. The climbs buy the tree's nodes: its budget is the
+relocation rows that the climbs of the call have scored - m*(k+1) for
+each grouping whose neighbours they scored - minus the nodes it has
+used, so one scored neighbour buys one bounded child, with no constant
+and no option. A run stopped by that budget resumes where it stopped, at
+the next run's lam. A call whose tree never certifies runs every
+restart, as it would without the tree, and takes about twice as long as
+its climbs: on 24 planted 16x24/k5 and 24x40/k7 instances at 8 restarts
+the climbs took 2.04 of 3.91 s (1.92x, the fastest of three runs on 2
+CPUs), with 1 285 199 tree nodes against 1 479 880 scored rows. The
+budget caps the tree's nodes, not its time.
 
 Determinism: the same rng_seed gives the same answer as long as the time
 budget does not cut a run short. The budget is polled once before all
@@ -84,7 +66,6 @@ import logging
 import random
 import time
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -250,33 +231,21 @@ def _moves(inst: Instance, sol: Solution, cap: int, deadline: float | None):
 
 
 def climb(inst: Instance, machine_cell: list[int], regime: Regime,
-          deadline: float | None, memo: dict | None = None) -> Solution:
+          deadline: float | None, path: list[int] | None = None) -> Solution:
     """Local search from a machine grouping (labels 1..k, 0 = residual):
     place its parts optimally, then move to the best improving grouping of
     the first batch that has one until no batch improves or the monotonic
     deadline (None = none) passes. The result is never worse than the best
     placement of the parts for machine_cell.
 
-    memo maps the machine_cell tuple of each grouping a finished climb
-    passed through to that climb's result; without one the climb starts a
-    fresh dict, which it cannot hit, because the efficacy rises strictly
-    along its path. A climb that reaches a grouping in the memo takes the
-    stored result - at the stored end grouping itself it keeps its own
-    fit - and a climb that finishes stores its path; one cut by the
-    deadline stores nothing (see the module docstring for why this is
-    exact)."""
-    memo = {} if memo is None else memo
+    path, when given, gets the cell count k of each grouping whose
+    neighbours the climb scores, in climb order; each of them costs m*(k+1)
+    relocation rows unless the deadline has passed."""
     cap = label_cap(inst, regime)
     sol = fit_parts(inst, machine_cell, regime)
-    path = []
     while True:
-        key = tuple(sol.machine_cell)
-        end = memo.get(key)
-        if end is not None:
-            if end.machine_cell != sol.machine_cell:
-                sol = end
-            break
-        path.append(key)
+        if path is not None:
+            path.append(sol.c)
         for batch in _moves(inst, sol, cap, deadline):
             best = sol
             for cells in batch:
@@ -291,11 +260,7 @@ def climb(inst: Instance, machine_cell: list[int], regime: Regime,
                 sol = best
                 break
         else:
-            if _past(deadline):  # the move stream may have been cut short
-                return sol
-            break
-    memo.update(dict.fromkeys(path, sol))
-    return sol
+            return sol
 
 
 def _random_machine_cells(m: int, k: int, rng: random.Random) -> list[int]:
@@ -312,46 +277,39 @@ def _random_machine_cells(m: int, k: int, rng: random.Random) -> list[int]:
 
 def heuristic_solve(inst: Instance, cfg: SearchConfig) -> Solution:
     """Best feasible grouping found across cfg.restarts climbs, the first
-    of equal efficacy. The climbs share one memo of finished climbs, which
-    lives only as long as this call and does not change the result.
+    of equal efficacy.
 
     After every climb but the last, one bnb.Tree of this call resumes at
     the best efficacy so far with incumbent_F = 0, on a node budget of the
-    relocation rows the finished climbs have scored minus the nodes the
-    tree has used. A run that completes without a grouping certifies that
-    no grouping beats the incumbent, so the restarts stop: the later ones
-    could only tie, and ties keep the first, so the result is the one all
-    restarts give. The budget is 1:1 with the climbs' scored neighbours,
-    so a call that never certifies takes about twice as long as its
-    climbs (see the module docstring). Logs one INFO line: the climbs
-    run out of cfg.restarts, the tree's nodes, the scored rows and whether
-    the seed was certified."""
+    relocation rows the climbs have scored minus the nodes the tree has
+    used, as long as that is positive. A run that completes without a
+    grouping certifies that no grouping beats the incumbent, so the
+    restarts stop: the later ones could only tie, and ties keep the first,
+    so the result is the one all restarts give. The budget is 1:1 with the
+    climbs' scored neighbours, so a call that never certifies takes about
+    twice as long as its climbs (see the module docstring). Logs one INFO
+    line: the climbs run out of cfg.restarts, the tree's nodes, the scored
+    rows and whether the seed was certified."""
     regime = cfg.regime
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget is not None else None
     rng = random.Random(cfg.rng_seed)
     kmax = min(inst.m, inst.p)
     best: Solution | None = None
-    memo: dict = {}  # finished climbs of this call, see climb
     tree = Tree(inst, regime)
+    path: list[int] = []  # cell counts of the groupings the climbs scored
     scored = used = climbs = 0  # relocation rows scored, tree nodes, climbs
     certified = False
-    waiting = None  # the ratio of a run that stopped on a better grouping
     for _ in range(cfg.restarts):
         if _past(deadline) and best is not None:
             break
         k = rng.randint(1, kmax)
         cells = _random_machine_cells(inst.m, k, rng)
-        known = len(memo)
-        sol = climb(inst, cells, regime, deadline, memo)
+        sol = climb(inst, cells, regime, deadline, path)
         climbs += 1
         if best is None or sol.efficacy > best.efficacy:
             best = sol
-        # each grouping a finished climb passed through scored m*(k+1)
-        # relocation rows; they are the memo's new keys
-        scored += inst.m * sum(max(key) + 1
-                               for key in islice(memo, known, None))
-        if (climbs == cfg.restarts or scored <= used or _past(deadline)
-                or (waiting is not None and not best.efficacy > waiting)):
+        scored = inst.m * (sum(path) + len(path))  # m*(k+1) per grouping
+        if climbs == cfg.restarts or scored <= used or _past(deadline):
             continue
         res = tree.run(best.efficacy, 0,
                        None if deadline is None else deadline - time.monotonic(),
@@ -360,7 +318,6 @@ def heuristic_solve(inst: Instance, cfg: SearchConfig) -> Solution:
         if res.solution is None and not res.truncated:
             certified = True
             break
-        waiting = None if res.solution is None else best.efficacy
     log.info("heuristic climbs=%d/%d tree_nodes=%d scored_rows=%d "
              "certified=%s", climbs, cfg.restarts, used, scored,
              "yes" if certified else "no")

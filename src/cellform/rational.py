@@ -10,6 +10,7 @@ solution, e.g. 15/24 rather than 5/8.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from fractions import Fraction
 _RATIO = re.compile(r"(\d+)/(\d+)|(\d*)\.(\d+)|(\d+)", re.ASCII)
 
 
+@functools.total_ordering
 @dataclass(frozen=True)
 class Ratio:
     num: int
@@ -51,24 +53,6 @@ class Ratio:
         if o is None:
             return NotImplemented
         return self.num * o[1] < o[0] * self.den
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num * o[1] <= o[0] * self.den
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num * o[1] > o[0] * self.den
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num * o[1] >= o[0] * self.den
 
     def __hash__(self):
         # match the numeric tower so equal values hash alike across types

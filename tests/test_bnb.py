@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from cellform import bnb
 from cellform.bnb import (
     Tree,
     _min_loss_cover,
@@ -32,6 +33,19 @@ LAMBDAS = [Ratio(0, 1), Ratio(1, 3), Ratio(1, 2), Ratio(3, 4), Ratio(1, 1)]
 def leaf_F(inst, lam, mcell, pcell):
     n1_in, n0_in = pair_counts(inst, mcell, pcell)
     return lam.den * n1_in - lam.num * (n0_in + inst.n1)
+
+
+def vacuous_bounds(cell_sums, row, offset):
+    # a bound above every F: nothing is cut, and the stable sort of equal
+    # bounds keeps label order, so the search enumerates every child
+    return np.full(cell_sums.shape[:-1], 1 << 60).tolist()
+
+
+def unpruned(inst, lam, regime, **kwargs):
+    # Tree looks child_bounds up as a module global
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bnb, "child_bounds", vacuous_bounds)
+        return solve_subproblem(inst, lam, regime, **kwargs)
 
 
 def naive_max_F(inst, lam, regime):
@@ -437,7 +451,7 @@ def test_pruning_never_changes_the_value(engine):
         for lam in (Ratio(1, 2), Ratio(9, 10)):
             for regime in Regime:
                 on = solve_subproblem(inst, lam, regime)
-                off = solve_subproblem(inst, lam, regime, prune=False)
+                off = unpruned(inst, lam, regime)
                 assert on.stats.engine == off.stats.engine == engine
                 assert on.best_F == off.best_F
                 assert on.stats.nodes <= off.stats.nodes
@@ -594,17 +608,17 @@ def test_resumed_tree_agrees_with_a_fresh_search():
 
 
 def test_a_search_chopped_by_node_budgets_agrees_with_a_fresh_search():
-    # a tree run under node budgets of 1-40 at one lambda until a run ends
+    # a tree run under node budgets of 1-30 at one lambda until a run ends
     # unbudgeted, then the same at higher lambdas, returns at each lambda
     # the grouping that an unbudgeted tree run through the same lambdas
     # returns, and its verdict equals a fresh search's: a run stopped
     # anywhere, between the stacked call that bounds the children's
     # children and the descents that use it included, resumes the same
-    # search. A run stopped by its budget has counted the child it stopped
-    # on, and the next run visits that child without counting it again, so
-    # the runs at one lambda count no more nodes than the unbudgeted run
-    # and every budgeted run moves the search on; the runs are capped at one
-    # per node of the unbudgeted run, plus the one that ends unbudgeted
+    # search. A run checks its budget before it counts a child, so it stops
+    # on a child it has not counted, which the next run visits and counts
+    # once: the runs at one lambda count no more nodes than the unbudgeted
+    # run and every budgeted run moves the search on; the runs are capped at
+    # one per node of the unbudgeted run, plus the one that ends unbudgeted
     rng = random.Random(97)
     chopped = answered = 0
     for trial in range(80):
@@ -621,7 +635,7 @@ def test_a_search_chopped_by_node_budgets_agrees_with_a_fresh_search():
                 whole = twin.run(lam, 0)
                 counted = 0
                 for _ in range(whole.stats.nodes + 1):
-                    res = tree.run(lam, 0, node_limit=rng.randrange(1, 41))
+                    res = tree.run(lam, 0, node_limit=rng.randrange(1, 31))
                     counted += res.stats.nodes
                     if not res.truncated:
                         break
@@ -644,6 +658,35 @@ def test_a_search_chopped_by_node_budgets_agrees_with_a_fresh_search():
     assert chopped >= 300 and answered >= 200, (chopped, answered)
 
 
+def test_a_budget_of_the_nodes_a_search_needs_completes_it():
+    # a fresh run under a node budget equal to the node count of an
+    # unbudgeted run visits the same nodes: it returns the same answer,
+    # proofs included, and is not truncated; one node less truncates it
+    rng = random.Random(89)
+    proofs = answered = 0
+    for trial in range(30):
+        if trial % 2:
+            inst = random_instance(rng, rng.randrange(4, 8),
+                                   rng.randrange(3, 9), rng.choice((.3, .5)))
+        else:
+            inst, _ = planted_instance(trial, 9, 12, 3, .7, .15)
+        for regime in Regime:
+            lam = Ratio(rng.randrange(0, 20), 20)
+            for incumbent_F in (0, None):
+                whole = Tree(inst, regime).run(lam, incumbent_F)
+                n = whole.stats.nodes
+                where = (inst.a, regime, str(lam), incumbent_F)
+                res = Tree(inst, regime).run(lam, incumbent_F, node_limit=n)
+                assert not res.truncated, where
+                assert (res.best_F, res.solution, res.stats) == (
+                    whole.best_F, whole.solution, whole.stats), where
+                assert Tree(inst, regime).run(lam, incumbent_F,
+                                              node_limit=n - 1).truncated, where
+                proofs += res.solution is None
+                answered += res.solution is not None
+    assert proofs >= 10 and answered >= 40, (proofs, answered)
+
+
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 
 
@@ -653,8 +696,7 @@ def test_rgs_branching_visits_each_partition_once(engine):
     # with pruning off count exactly the set partitions of the machines
     for m in (3, 4, 5):
         inst = Instance("b", m, m, tuple((1,) * m for _ in range(m)))
-        res = solve_subproblem(inst, Ratio(1, 2), Regime.ALLOW_RESIDUAL,
-                               prune=False)
+        res = unpruned(inst, Ratio(1, 2), Regime.ALLOW_RESIDUAL)
         assert res.stats.engine == engine
         assert res.stats.leaves == BELL[m]
         assert res.stats.nodes == sum(BELL[d] for d in range(1, m + 1))
@@ -662,14 +704,14 @@ def test_rgs_branching_visits_each_partition_once(engine):
 
 def test_rgs_count_holds_at_m8():
     inst = Instance("b8", 8, 7, tuple((1,) * 7 for _ in range(8)))
-    res = solve_subproblem(inst, Ratio(1, 2), Regime.ALLOW_RESIDUAL, prune=False)
+    res = unpruned(inst, Ratio(1, 2), Regime.ALLOW_RESIDUAL)
     assert res.stats.leaves == BELL[8]
 
 
 def test_no_residual_cap_limits_prefixes():
     # 4 machines, 2 parts: no prefix may use more than 2 labels
     inst = Instance("cap", 4, 2, ((1, 0), (0, 1), (1, 1), (1, 1)))
-    res = solve_subproblem(inst, Ratio(1, 2), Regime.NO_RESIDUAL, prune=False)
+    res = unpruned(inst, Ratio(1, 2), Regime.NO_RESIDUAL)
     want_leaves = sum(1 for q in machine_partitions(4) if max(q) <= 2)
     assert res.stats.leaves == want_leaves
 
@@ -680,8 +722,7 @@ def test_budgets_truncate(ref_instance, engine):
     # reach a poll before asserting it stopped
     rng = random.Random(5)
     big = random_instance(rng, 10, 10, 0.5)
-    res = solve_subproblem(big, Ratio(1, 2), Regime.NO_RESIDUAL,
-                           time_limit=0.0, prune=False)
+    res = unpruned(big, Ratio(1, 2), Regime.NO_RESIDUAL, time_limit=0.0)
     assert res.stats.engine == engine
     assert res.truncated
     assert res.stats.nodes <= 2048
@@ -707,8 +748,7 @@ def test_void_prune_engages_and_stays_safe(engine):
     assert res.solution is None  # nothing beats the incumbent here
     assert res.stats.nodes == 206
 
-    off = solve_subproblem(inst, Ratio(4, 8), Regime.NO_RESIDUAL,
-                           incumbent_F=0, prune=False)
+    off = unpruned(inst, Ratio(4, 8), Regime.NO_RESIDUAL, incumbent_F=0)
     assert off.best_F == 0
 
 

@@ -182,6 +182,21 @@ def test_solve_node_limit_reports_nodelimit(inst_file, capsys):
     assert out.startswith("status=NodeLimit ")
 
 
+def test_a_node_limit_of_the_nodes_a_proof_needs_proves_it(tmp_path, capsys):
+    # the unbudgeted solve of A2 proves its optimum in 16 nodes; a budget of
+    # 16 nodes visits all of them and proves it too, 15 stop short
+    a2 = Path(__file__).resolve().parents[1] / "data" / "testset_a" / "A2.cfp"
+    out = str(tmp_path / "a2.sol")
+    assert main(["solve", str(a2), "-o", out]) == 0
+    report = capsys.readouterr().out
+    assert report.startswith("status=Optimal ") and " nodes=16 " in report
+    for limit, status in (("16", "Optimal"), ("15", "NodeLimit")):
+        assert main(["solve", str(a2), "--node-limit", limit, "-o", out]) == 0
+        report = capsys.readouterr().out
+        assert report.startswith(f"status={status} "), (limit, report)
+        assert f" nodes={limit} " in report, (limit, report)
+
+
 @pytest.fixture
 def big_file(tmp_path):
     """A planted 24x40 instance whose unbudgeted heuristic seed alone takes

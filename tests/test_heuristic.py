@@ -143,14 +143,12 @@ def test_time_budget_still_returns_feasible(ref_instance):
 # (generator args, regime, canonical machine_cell, efficacy, fit_parts
 # calls, optimal_parts rounds) with rng_seed=0 and 8 restarts; the counts
 # are the machine-independent cost of the climb, so a change to the move
-# order, the acceptance rule, the screen of _moves, the climb memo, the
-# certificate or the parametric loop of fit_parts must update this table
-# knowingly. fit_parts is called only on the neighbours that pass the
-# screen (1204-1898 calls per row without it, with the same groupings),
-# not at all past a grouping that an earlier restart's finished climb
-# passed through (40-201 calls per row without the certificate; 58-231
-# without the memo either), and not in the restarts after the tree has
-# certified the incumbent (5-40 calls per row)
+# order, the acceptance rule, the screen of _moves, the certificate or the
+# parametric loop of fit_parts must update this table knowingly. fit_parts
+# is called only on the neighbours that pass the screen (1204-1898 calls
+# per row without it, with the same groupings), and not in the restarts
+# after the tree has certified the incumbent (58-231 calls per row without
+# the certificate)
 PINNED_RESULTS = [
     ((1, 8, 10, 3, .7, .15), "no-residual", [1, 1, 2, 3, 4, 1, 4, 5], "2/3", 5, 10),
     ((1, 8, 10, 3, .7, .15), "allow-residual", [1, 1, 2, 3, 4, 1, 4, 5], "2/3", 5, 11),
@@ -240,26 +238,12 @@ def test_large_cell_split_keeps_its_poles():
             [sorted(h) for h in split_halves(rows, inst.a)], inst.a
 
 
-def test_climb_matches_the_unscreened_climb(monkeypatch):
-    # the screen only drops neighbours that cannot win, and a later restart
-    # that reaches a grouping an earlier finished climb passed through takes
-    # that climb's result; so the answer is the one of a climb without
-    # screen or memo, part labels included; at 2 and at 8 restarts some
-    # climbs hit the memo
-    hits = 0
-
-    def spy(inst, cells, regime, deadline, memo):
-        nonlocal hits
-        known = set(memo)
-        sol = climb(inst, cells, regime, deadline, memo)
-        # a finished climb stores its end grouping, so a later climb ends
-        # on a known grouping only if it reached the memo
-        hits += tuple(sol.machine_cell) in known
-        return sol
-
-    monkeypatch.setattr(heuristic, "climb", spy)
+def test_climb_matches_the_unscreened_climb():
+    # the screen only drops neighbours that cannot win, and the certificate
+    # stops the restarts only when a later one could at best tie; so the
+    # answer is the one of climbs without screen or tree, part labels
+    # included
     for restarts, step in ((2, 1), (8, 2)):
-        hits = 0
         for n in range(0, 40, step):
             m, p = 6 + n * 6 // 39, 8 + n * 10 // 39
             inst, _ = planted_instance(100 + n, m, p, 2 + n % 3, .75, .1)
@@ -270,7 +254,6 @@ def test_climb_matches_the_unscreened_climb(monkeypatch):
                 assert (got.machine_cell, got.part_cell, got.efficacy) == (
                     want.machine_cell, want.part_cell, want.efficacy), (
                         restarts, n, regime)
-        assert hits > 0, restarts
 
 
 def test_relocations_and_merges_score_as_one_node_each(monkeypatch):
@@ -321,14 +304,13 @@ def test_relocations_and_merges_score_as_one_node_each(monkeypatch):
     assert min(seen.values()) >= 20, seen
 
 
-def test_a_cut_climb_stores_nothing_and_the_memo_dies_with_the_call(monkeypatch):
+def test_a_climb_cut_by_the_deadline_still_gives_a_checked_answer(monkeypatch):
     # the clock runs out partway through a restart; the answer is still a
-    # canonical grouping whose counts re-verify, the cut climb adds nothing
-    # to the memo, and a later call without a budget is unaffected
-    gen, regime, machine_cell, eff, want_calls, _ = PINNED_RESULTS[2]
+    # canonical grouping whose counts re-verify
+    gen, regime, *_ = PINNED_RESULTS[2]
     inst, _ = planted_instance(*gen)
-    regime = Regime(regime)
-    cfg = SearchConfig(regime=regime, restarts=8, rng_seed=0, time_budget=60)
+    cfg = SearchConfig(regime=Regime(regime), restarts=8, rng_seed=0,
+                       time_budget=60)
     polls = 0
     expire_at = None
 
@@ -340,12 +322,11 @@ def test_a_cut_climb_stores_nothing_and_the_memo_dies_with_the_call(monkeypatch)
         polls += 1
         return expired()
 
-    climbs = []  # per climb: whether it grew the memo, whether it was cut
+    climbs = []  # per climb: whether it was cut
 
-    def spy(inst, cells, regime, deadline, memo):
-        before = len(memo)
-        sol = climb(inst, cells, regime, deadline, memo)
-        climbs.append((len(memo) > before, expired()))
+    def spy(*args):
+        sol = climb(*args)
+        climbs.append(expired())
         return sol
 
     monkeypatch.setattr(heuristic, "_past", clock)
@@ -357,56 +338,39 @@ def test_a_cut_climb_stores_nothing_and_the_memo_dies_with_the_call(monkeypatch)
         polls = 0
         climbs.clear()
         sol = heuristic_solve(inst, cfg)
-        assert not any(grew for grew, was_cut in climbs if was_cut), expire_at
-        cut += climbs[-1][1]
+        cut += climbs[-1]
         assert canonicalize(sol) == sol
         stored = (sol.n1_in, sol.n0_in, sol.efficacy)
         assert efficacy(inst, sol) == sol.efficacy
         assert (sol.n1_in, sol.n0_in, sol.efficacy) == stored
     assert cut >= 5, cut
-    monkeypatch.undo()
-
-    calls = 0
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return fit_parts(*args, **kwargs)
-
-    monkeypatch.setattr(heuristic, "fit_parts", counted)
-    sol = heuristic_solve(inst, SearchConfig(regime=regime, restarts=8,
-                                             rng_seed=0))
-    assert (sol.machine_cell, sol.efficacy, calls) == (
-        machine_cell, parse_ratio(eff), want_calls)
 
 
-def test_a_memo_hit_at_the_end_grouping_keeps_the_climbs_own_parts():
-    # fit_parts from different ratios may break part ties differently: this
-    # start is its own climb's end, fitted from 0 to parts [3, 2, 1], and
-    # from 1/32 to [2, 3, 1] at the same efficacy. A result stored for it
-    # by a climb that arrived from 1/32 must not replace the climb's own fit
-    inst = Instance("tie", 4, 3, ((0, 0, 0), (0, 0, 0), (0, 0, 1), (0, 0, 0)))
-    start, regime = [1, 2, 1, 3], Regime.NO_RESIDUAL
-    want = climb(inst, start, regime, None)
-    other = fit_parts(inst, start, regime, Ratio(1, 32))
-    assert (want.machine_cell, want.part_cell, want.efficacy) == (
-        start, [3, 2, 1], Ratio(1, 4))
-    assert (other.part_cell, other.efficacy) == ([2, 3, 1], Ratio(1, 4))
-    assert climb(inst, start, regime, None, {tuple(start): other}) == want
+def test_climb_reports_the_cell_count_of_each_grouping_it_scores(monkeypatch):
+    # path gets one entry per grouping whose neighbours _moves scores, its
+    # cell count, in climb order, and the climb's result is the last one
+    scored = []
 
+    def spy(inst, sol, cap, deadline):
+        scored.append(max(sol.machine_cell))
+        return moves(inst, sol, cap, deadline)
 
-def test_a_memo_hit_before_the_end_takes_the_stored_result():
-    # a climb that reaches a grouping whose stored result ends elsewhere
-    # returns that result as it is and stores its own path under it
-    inst, _ = planted_instance(5, 9, 12, 3, .75, .1)
-    for regime in Regime:
-        start = [1] * inst.m
-        plain = climb(inst, start, regime, None)
-        assert plain.machine_cell != start
-        stored = fit_parts(inst, [1, 2] * 4 + [3], regime)
-        memo = {tuple(plain.machine_cell): stored}
-        assert climb(inst, start, regime, None, memo) is stored
-        assert tuple(start) in memo and all(v is stored for v in memo.values())
+    moves = heuristic._moves
+    monkeypatch.setattr(heuristic, "_moves", spy)
+    rng = random.Random(29)
+    lengths = set()
+    for trial in range(30):
+        inst, _ = planted_instance(trial, 9, 12, 3, .7, .15)
+        for regime in Regime:
+            start = heuristic._random_machine_cells(
+                inst.m, rng.randint(1, 5), rng)
+            scored.clear()
+            path = [7]  # climb appends to what the list holds
+            sol = climb(inst, start, regime, None, path)
+            assert path == [7] + scored and path[-1] == sol.c, (inst.a, regime)
+            assert climb(inst, start, regime, None) == sol
+            lengths.add(len(scored))
+    assert len(lengths) >= 3 and max(lengths) >= 4, lengths
 
 
 def _summaries(caplog):
@@ -443,19 +407,19 @@ def test_a_certified_seed_is_optimal(caplog):
 def test_a_seed_that_cannot_be_certified_runs_every_climb(monkeypatch, caplog):
     # planted 24x40/k7 is too hard for the nodes its climbs buy: the tree
     # never certifies, all 8 climbs run and give the answer of the climbs
-    # without screen, memo or tree, and the tree never takes more nodes than
-    # the relocation rows that the finished climbs scored, m*(k+1) for each
-    # grouping they passed through
+    # without screen or tree, and the tree never takes more nodes than the
+    # relocation rows that the climbs scored, m*(k+1) for each grouping
+    # whose neighbours they scored
     inst, _ = planted_instance(0, 24, 40, 7, .75, .08)
     regime = Regime.NO_RESIDUAL
     climbs = rows = nodes = 0
 
-    def spy(inst, cells, regime, deadline, memo):
+    def spy(inst, cells, regime, deadline, path):
         nonlocal climbs, rows
-        known = set(memo)
-        sol = climb(inst, cells, regime, deadline, memo)
+        known = len(path)
+        sol = climb(inst, cells, regime, deadline, path)
         climbs += 1
-        rows += sum(inst.m * (max(key) + 1) for key in memo if key not in known)
+        rows += sum(inst.m * (k + 1) for k in path[known:])
         return sol
 
     class Counted(Tree):
