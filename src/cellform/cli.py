@@ -261,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-limit", type=seconds, default=None, metavar="SEC",
                    help="total budget, heuristic seed included")
     p.add_argument("--node-limit", type=count, default=None, metavar="N",
-                   help="node budget of the whole solve, all rounds together")
+                   help="node budget of the exact rounds together; the "
+                        "heuristic seed's own search is not counted")
     p.add_argument("--backend", choices=("internal", "lp-export"),
                    default="internal",
                    help="lp-export writes one .lp per iteration and waits "

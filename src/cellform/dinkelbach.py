@@ -23,8 +23,16 @@ the first maximum negative, in which case the argmax restarts the loop from
 below. Every lambda after the first is the efficacy of a real grouping, so
 the sequence is strictly increasing and finite.
 
+A seed from heuristic_solve carries the Tree that tried to certify it. The
+solve takes it over as its one tree when it searched the same instance
+object in the same regime at a ratio no higher than the seed's, which is
+the tree's own resume rule: a certified seed is then proved in no node
+instead of twice, and a seed whose tree ran out of budget is searched on
+from where it stopped. A seed reused after its tree moved above it gets a
+fresh tree.
+
 A subsolver passed to solve replaces the tree with one call per round, each
-a search of its own at that round's lambda.
+a search of its own at that round's lambda; it ignores the seed's tree.
 """
 
 from __future__ import annotations
@@ -115,10 +123,16 @@ def remaining(time_limit: float | None, t0: float) -> float | None:
     return max(0.0, time_limit - (time.monotonic() - t0))
 
 
-def _one_tree(inst: Instance, regime: Regime):
+def _one_tree(inst: Instance, regime: Regime, tree: Tree | None,
+              lam: Ratio):
     """The default subsolver: a fresh full search while the solve has no
-    incumbent, then one Tree that every later round resumes."""
-    tree = Tree(inst, regime)
+    incumbent, then one Tree that every later round resumes: tree, the
+    seed's, if it searched inst in regime at a ratio no higher than lam,
+    the seed's ratio, so that Tree.run may resume it; else a fresh one."""
+    if (tree is None or tree.inst is not inst
+            or tree.no_res != (regime is Regime.NO_RESIDUAL)
+            or tree.lam is not None and tree.lam > lam):
+        tree = Tree(inst, regime)
 
     def run(inst, lam, regime, incumbent_F, time_limit, node_limit):
         if incumbent_F is None:
@@ -145,10 +159,12 @@ def solve(
     efficacy pair) and the incumbent, and must be feasible in the regime
     (ValueError lists its violations); a bare seed_lambda only shifts the
     first round's ratio and may not exceed 1. With neither, the loop starts
-    at 0/1. time_limit is a shared wall-clock budget in seconds; node_limit
-    caps the nodes of the whole solve, and each round gets what the rounds
-    before it left. A round the node budget stops ends the solve as
-    NodeLimit, one the clock stops as TimeLimit.
+    at 0/1. A seed_solution from heuristic_solve hands over its tree (see
+    the module docstring). time_limit is a shared wall-clock budget in
+    seconds; node_limit caps the nodes of the solve's rounds, not those a
+    seed's tree spent before, and each round gets what the rounds before it
+    left; the outcome's nodes counts the same. A round the node budget
+    stops ends the solve as NodeLimit, one the clock stops as TimeLimit.
     subsolver replaces the solve's one search tree with one call per round,
     with the positional arguments of bnb.solve_subproblem: (inst, lam,
     regime, incumbent_F, time_limit, node_limit). Given incumbent_F, an
@@ -160,8 +176,6 @@ def solve(
     deadline = None if time_limit is None else t0 + time_limit
     if seed_lambda is not None and seed_lambda > 1:
         raise ValueError(f"efficacy cannot exceed 1, got {seed_lambda}")
-    if subsolver is None:
-        subsolver = _one_tree(inst, regime)
 
     incumbent: Solution | None = None
     if seed_solution is not None:
@@ -175,6 +189,10 @@ def solve(
         lam = seed_lambda
     else:
         lam = Ratio(0, 1)
+    if subsolver is None:
+        subsolver = _one_tree(
+            inst, regime, None if seed_solution is None else seed_solution.tree,
+            lam)
 
     history: list[IterationRecord] = []
     total_nodes = 0

@@ -50,7 +50,10 @@ restart, as it would without the tree, and takes about twice as long as
 its climbs: on 24 planted 16x24/k5 and 24x40/k7 instances at 8 restarts
 the climbs took 2.04 of 3.91 s (1.92x, the fastest of three runs on 2
 CPUs), with 1 285 199 tree nodes against 1 479 880 scored rows. The
-budget caps the tree's nodes, not its time.
+budget caps the tree's nodes, not its time. Those nodes are not lost: the
+returned seed carries the tree as Solution.tree, and dinkelbach.solve
+resumes it in its first round, so a certified seed costs the solve no node
+and an uncertified one is searched on from where its budget stopped.
 
 Determinism: the same rng_seed gives the same answer as long as the time
 budget does not cut a run short. The budget is polled once before all
@@ -287,9 +290,10 @@ def heuristic_solve(inst: Instance, cfg: SearchConfig) -> Solution:
     restarts stop: the later ones could only tie, and ties keep the first,
     so the result is the one all restarts give. The budget is 1:1 with the
     climbs' scored neighbours, so a call that never certifies takes about
-    twice as long as its climbs (see the module docstring). Logs one INFO
-    line: the climbs run out of cfg.restarts, the tree's nodes, the scored
-    rows and whether the seed was certified."""
+    twice as long as its climbs (see the module docstring). The result
+    carries the tree as its tree field, for dinkelbach.solve to resume.
+    Logs one INFO line: the climbs run out of cfg.restarts, the tree's
+    nodes, the scored rows and whether the seed was certified."""
     regime = cfg.regime
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget is not None else None
     rng = random.Random(cfg.rng_seed)
@@ -323,4 +327,5 @@ def heuristic_solve(inst: Instance, cfg: SearchConfig) -> Solution:
              "yes" if certified else "no")
     best = canonicalize(best)
     efficacy(inst, best)
+    best.tree = tree
     return best

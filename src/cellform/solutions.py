@@ -11,9 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .instances import FormatError, Instance
 from .rational import Ratio
+
+if TYPE_CHECKING:
+    from .bnb import Tree
 
 
 class Regime(Enum):
@@ -30,12 +34,19 @@ class Regime(Enum):
 
 @dataclass
 class Solution:
+    """A grouping and its efficacy counts. tree, set only on the seed that
+    heuristic_solve returns, is the bnb.Tree that tried to certify it;
+    dinkelbach.solve resumes it instead of proving the seed again. It is
+    not part of the grouping: ==, repr, copy(), canonicalize and the .sol
+    file all ignore it."""
+
     c: int
     machine_cell: list[int]  # length m, values in 0..c (0 = residual machine)
     part_cell: list[int]     # length p, values in 0..c (0 = residual part)
     n1_in: int = 0
     n0_in: int = 0
     efficacy: Ratio = field(default_factory=lambda: Ratio(0, 1))
+    tree: Tree | None = field(default=None, repr=False, compare=False)
 
     def copy(self) -> "Solution":
         return Solution(

@@ -177,21 +177,30 @@ def test_solve_time_limit_zero_reports_timelimit(inst_file, capsys):
 
 
 def test_solve_node_limit_reports_nodelimit(inst_file, capsys):
-    assert main(["solve", str(inst_file), "--node-limit", "1"]) == 0
+    # a ratio seed, since the heuristic seed's own tree certifies it and
+    # the solve then needs no node
+    assert main(["solve", str(inst_file), "--seed-lambda", "1/2",
+                 "--node-limit", "1"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("status=NodeLimit ")
 
 
 def test_a_node_limit_of_the_nodes_a_proof_needs_proves_it(tmp_path, capsys):
-    # the unbudgeted solve of A2 proves its optimum in 16 nodes; a budget of
-    # 16 nodes visits all of them and proves it too, 15 stop short
+    # the heuristic seed of A2 comes with its tree's certificate, so the
+    # solve proves it in no node; from the ratio 1/2 the unbudgeted solve
+    # takes 28 nodes, and a budget of 28 visits all of them and proves the
+    # optimum too, 27 stop short
     a2 = Path(__file__).resolve().parents[1] / "data" / "testset_a" / "A2.cfp"
     out = str(tmp_path / "a2.sol")
     assert main(["solve", str(a2), "-o", out]) == 0
     report = capsys.readouterr().out
-    assert report.startswith("status=Optimal ") and " nodes=16 " in report
-    for limit, status in (("16", "Optimal"), ("15", "NodeLimit")):
-        assert main(["solve", str(a2), "--node-limit", limit, "-o", out]) == 0
+    assert report.startswith("status=Optimal ") and " nodes=0 " in report
+    assert main(["solve", str(a2), "--seed-lambda", "1/2", "-o", out]) == 0
+    report = capsys.readouterr().out
+    assert report.startswith("status=Optimal ") and " nodes=28 " in report
+    for limit, status in (("28", "Optimal"), ("27", "NodeLimit")):
+        assert main(["solve", str(a2), "--seed-lambda", "1/2",
+                     "--node-limit", limit, "-o", out]) == 0
         report = capsys.readouterr().out
         assert report.startswith(f"status={status} "), (limit, report)
         assert f" nodes={limit} " in report, (limit, report)

@@ -20,7 +20,8 @@ from cellform.heuristic import SearchConfig, climb, fit_parts, heuristic_solve
 from cellform.instances import Instance
 from cellform.oracle import oracle_solve
 from cellform.rational import Ratio
-from cellform.solutions import Regime, Solution, check_feasible
+from cellform.solutions import (Regime, Solution, canonicalize, check_feasible,
+                                parse_solution, write_solution)
 
 from helpers import planted_instance, random_instance
 
@@ -416,8 +417,116 @@ def test_baseline_row_solve_is_pinned(monkeypatch):
         return child_bounds(cell_sums, row, offset)
 
     monkeypatch.setattr(bnb, "child_bounds", spy)
-    out = solve(inst, regime, seed_solution=seed)
+    # a copy carries no tree, so the solve proves the seed from the root
+    out = solve(inst, regime, seed_solution=seed.copy())
     assert out.status is SolveStatus.OPTIMAL
     assert out.solution.efficacy == seed.efficacy == Ratio(55, 93)
     assert out.nodes == 54370
     assert calls == {"one node": 2324, "stacked": 2047}
+    # the seed itself hands over its tree, which stopped 18 768 nodes into
+    # the search without certifying the seed; the solve finishes it
+    out = solve(inst, regime, seed_solution=seed)
+    assert out.status is SolveStatus.OPTIMAL
+    assert out.solution.efficacy == Ratio(55, 93)
+    assert out.nodes == 35576
+
+
+# ------------------------------------------------ the seed's tree, handed over
+
+
+def test_a_handed_over_seed_tree_keeps_the_optima():
+    # heuristic seeds of 1-3 restarts hand over a tree that never ran, one
+    # that stopped on its node budget or on a better grouping, or one that
+    # certified the seed; the solve resumes it, runs its last round on it
+    # and proves the oracle's optimum. A second solve from the same seed
+    # finds its tree moved on and still proves the optimum
+    rng = random.Random(19)
+    kinds = {"never ran": 0, "stopped": 0, "certified": 0}
+    for trial in range(40):
+        m = rng.randrange(2, 7)
+        p = rng.randrange(2, 7 if m == 6 else 8)
+        inst = random_instance(rng, m, p, rng.choice((0.3, 0.5, 0.7)),
+                               name=f"h{trial}")
+        for regime in Regime:
+            opt = oracle_solve(inst, regime).efficacy
+            seed = heuristic_solve(inst, SearchConfig(
+                regime, restarts=rng.randint(1, 3), rng_seed=trial))
+            tree = seed.tree
+            kind = ("never ran" if tree.lam is None
+                    else "certified" if tree.d < 0 else "stopped")
+            kinds[kind] += 1
+            for reuse in (False, True):
+                out = solve(inst, regime, seed_solution=seed)
+                where = (inst.a, regime, kind, reuse)
+                assert out.status is SolveStatus.OPTIMAL, where
+                assert out.solution.efficacy == opt, where
+                assert check_feasible(inst, out.solution, regime)[0], where
+                if not reuse:
+                    assert seed.tree is tree, where
+                    assert tree.lam == out.history[-1].lam, where
+                    if kind == "certified":
+                        assert out.nodes == 0, where
+    assert min(kinds.values()) > 0, kinds
+
+
+def test_the_solve_builds_a_fresh_tree_unless_the_seed_tree_fits(
+        ref_instance):
+    regime = Regime.NO_RESIDUAL
+    seed = heuristic_solve(ref_instance, SearchConfig(regime, restarts=2,
+                                                      rng_seed=0))
+    assert seed.efficacy == Ratio(16, 23) and seed.tree.d < 0  # certified
+    # an equal instance that is another object, and the other regime, in
+    # which the seed is feasible too: the proof of a seed without a tree
+    twin = Instance(ref_instance.name, ref_instance.m, ref_instance.p,
+                    ref_instance.a)
+    assert twin == ref_instance and twin is not ref_instance
+    for inst, other in ((twin, regime), (ref_instance, Regime.ALLOW_RESIDUAL)):
+        out = solve(inst, other, seed_solution=seed)
+        assert out.optimal and out.solution.efficacy == Ratio(16, 23)
+        assert out.nodes == solve(inst, other,
+                                  seed_solution=seed.copy()).nodes == 16
+    # a passed subsolver runs searches of its own and leaves the tree as it
+    # was
+    lam = seed.tree.lam
+    out = solve(ref_instance, regime, seed_solution=seed,
+                subsolver=solve_subproblem)
+    assert out.optimal and out.nodes == 16 and seed.tree.lam is lam
+    # the seed's own instance and regime take over the certificate
+    out = solve(ref_instance, regime, seed_solution=seed)
+    assert out.optimal and out.nodes == 0 and out.iterations == 1
+
+
+def test_a_seed_whose_tree_moved_above_it_gets_a_fresh_tree(ref_instance):
+    # one restart leaves 14/23 and a tree that never ran; the solve raises
+    # lambda to the optimum on it, and a tree resumes only at a rising
+    # lambda, so a second solve from 14/23 needs a fresh one
+    regime = Regime.NO_RESIDUAL
+    seed = heuristic_solve(ref_instance, SearchConfig(regime, restarts=1,
+                                                      rng_seed=1))
+    assert seed.efficacy == Ratio(14, 23) and seed.tree.lam is None
+    fresh = solve(ref_instance, regime, seed_solution=seed.copy())
+    for _ in range(2):
+        out = solve(ref_instance, regime, seed_solution=seed)
+        assert out.optimal and out.solution.efficacy == Ratio(16, 23)
+        assert seed.tree.lam == Ratio(16, 23)
+        assert [(r.lam, r.F, r.nodes) for r in out.history] == [
+            (r.lam, r.F, r.nodes) for r in fresh.history]
+    assert fresh.iterations == 2
+
+
+def test_the_seed_tree_is_not_part_of_the_grouping(ref_instance, tmp_path):
+    regime = Regime.NO_RESIDUAL
+    seed = heuristic_solve(ref_instance, SearchConfig(regime, restarts=2,
+                                                      rng_seed=0))
+    bare = seed.copy()
+    assert seed.tree is not None and bare.tree is None
+    assert seed == bare and repr(seed) == repr(bare)
+    assert "tree" not in repr(seed)
+    assert canonicalize(seed).tree is None
+    f = tmp_path / "seed.sol"
+    f.write_text(write_solution(seed))
+    assert f.read_text() == write_solution(bare)
+    back = parse_solution(f.read_text(), ref_instance)
+    assert back == seed and back.tree is None
+    # the solve's answer is a grouping of its own, with no tree
+    assert solve(ref_instance, regime, seed_solution=seed).solution.tree is None

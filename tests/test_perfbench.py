@@ -32,3 +32,27 @@ def test_the_untraced_benchmark_runs_every_workload():
     # the end-to-end metrics come from untraced runs, which call the
     # heuristic and the solve without the tracer's wrappers
     run_every_workload("0")
+
+
+def test_every_seeded_clean_op_proves_its_reference_optimum(tmp_path,
+                                                            monkeypatch):
+    # the whole seed-0 seeded-clean pool through Bench.run_op, the path the
+    # benchmark times: every heuristic seed hands its tree to the solve,
+    # which proves the 119 certified seeds in no node, and every op ends
+    # Optimal at its reference optimum in one round
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import cellform
+    import run
+    import workloads
+
+    bench = run.Bench(cellform, workloads.WORKLOADS["seeded-clean"], 0,
+                      tmp_path)
+    bench.set_up(workloads.ops_of)
+    bench.load_references()
+    assert len(bench.ops) == len(bench.references) == 120
+    results = [bench.run_op(i) for i in range(len(bench.ops))]
+    for r in results:
+        assert r.error == "" and r.status == "Optimal", r
+        assert r.ratio == str(bench.references[r.index]), r
+    assert sum(r.rounds for r in results) == 120
+    assert sum(r.nodes for r in results) == 408
