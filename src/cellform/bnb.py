@@ -24,8 +24,11 @@ The cost of child_bounds is per numpy call, not per element, so a node
 with two or more internal children left to visit also bounds all of their
 children in one stacked call, one slab of cell sums per child, and a child
 the search enters then makes no call of its own; a node with one child left
-lets that child bound its children when the search enters it. A machine's
-row enters the cell sums only when the search descends through it; leaves
+lets that child bound its children when the search enters it. A child whose
+children the stacked call shows all cut is counted with them, as nodes and
+prunes, from the parent's bounds and never entered. A machine's row enters
+the cell sums only when the search descends through it, added to and later
+taken from the cell's row in place through views made once per run; leaves
 build their sums on demand. The search is a single depth-first loop over an
 explicit stack in plain Python and numpy.
 
@@ -246,6 +249,7 @@ class SubproblemStats:
     leaves: int = 0
     pruned_bound: int = 0
     max_depth: int = 0
+    entered: int = 0  # nodes whose children the search sorted
     # constants that perfbench reads: the bound is the only prune, and the
     # search runs in plain Python
     pruned_void: ClassVar[int] = 0
@@ -287,8 +291,8 @@ def solve_subproblem(
     budget stopped the search) and best_F == incumbent_F. Without
     incumbent_F, and unless a budget stops the search, the returned maximum
     is exact whatever its sign. A run under node_limit=n counts at most n
-    nodes and visits every node it counts, so a budget of exactly the nodes
-    a search needs lets it finish.
+    nodes and settles every node it counts, so a budget of exactly the
+    nodes a search needs lets it finish.
     """
     return Tree(inst, regime).run(lam, incumbent_F, time_limit, node_limit)
 
@@ -301,17 +305,26 @@ class Tree:
     order, and a cursor into them, and, when two or more of them are
     internal, the lists of their child bounds from one stacked call, in the
     same order; descending into child i gives it list i as its bounds, and
-    leaving a node drops its bounds. A run stops on the child it cannot
-    finish - the first leaf that beats incumbent_F, or the one a budget
-    stops at - and leaves it under the cursor, so the next run starts by
-    visiting it again, at that run's lambda. A run checks its node budget
-    and its deadline before it counts a child, so a budget stops it on a
-    child it has not counted: a run under a budget of n nodes counts at
-    most n, visits every node it counts and moves the search that far on,
-    and one whose budget equals the nodes left to visit finishes. A leaf
-    that stopped a run is counted again when the next run visits it. The
-    stored lists hold the last run's lambda, so a resumed run drops them
-    and re-bounds the nodes on the stack one call each.
+    leaving a node drops its bounds. A child whose list holds no bound
+    above the threshold is not entered: the run counts it and its children
+    in place, as entering it would, unless the node budget ends among them.
+    Descending and returning add and take the machine's weights to and
+    from the cell's row of cell_sums in place, so a run that finishes the
+    search leaves cell_sums all 0.
+
+    A run stops on the child it cannot finish - the first leaf that beats
+    incumbent_F, or the one a budget stops at - and leaves it under the
+    cursor, so the next run starts by visiting it again, at that run's
+    lambda. A run checks its node budget and its deadline before it counts
+    a child, so a budget stops it on a child it has not counted; a budget
+    that ends among the cut children of a node counts the ones it can and
+    leaves the rest owed, for the next run to count first, within its own
+    budget. So a run under a budget of n nodes counts at most n and moves
+    the search that far on, runs chopped by budgets count what one run
+    would, and one whose budget equals the nodes left to visit finishes. A
+    leaf that stopped a run is counted again when the next run visits it.
+    The stored lists hold the last run's lambda, so a resumed run drops
+    them and re-bounds the nodes on the stack one call each.
     """
 
     def __init__(self, inst: Instance, regime: Regime):
@@ -341,6 +354,7 @@ class Tree:
         self.d = 0  # deepest node on the stack; -1 once the search is done
         self.lam = None  # the last run's lambda
         self.floor = None  # the last run's prune threshold at its end
+        self.owed = 0  # cut children counted by no run yet
 
     def _weigh(self, lam: Ratio) -> None:
         wo = make_weights(self.inst, lam)[self.order]
@@ -390,19 +404,34 @@ class Tree:
         cell_sums, opened, bounds = self.cell_sums, self.opened, self.bounds
         grand, unit = self.grand, self.unit
         kids, cursor, trying = self.kids, self.cursor, self.trying
+        # views of each cell's row and each machine's weights, made once, so
+        # that adding one to the other is one in-place numpy step; _resume
+        # zeroes cell_sums in place, which keeps them valid
+        cell_row, w_row = list(cell_sums), list(wo)
+        # span[k]: the children of a node with k open cells
+        span = [min(k + 1, c_max) for k in range(c_max + 2)]
 
         best_F = _NEG_INF if incumbent_F is None else incumbent_F
         best_m = best_p = None
-        nodes = leaves = pruned_bound = max_depth = 0
+        nodes = leaves = pruned_bound = max_depth = entered = 0
         truncated = False
         d = self.d
         tick = 0
+        owed = self.owed
+        if owed:  # cut children the last run's budget left uncounted come
+            # first; a budget that ends among them again stops the run there
+            cut = owed if node_limit is None else min(owed, node_limit)
+            nodes = pruned_bound = cut
+            max_depth = d + 1
+            self.owed = owed - cut
+            truncated = self.owed > 0
 
-        while d >= 0:
+        while d >= 0 and not truncated:
             k = opened[d]
             todo = kids[d]
             if todo is None:  # entering the node: cut, then sort its children
-                n = min(k + 1, c_max)
+                entered += 1
+                n = span[k]
                 b = bounds[d]
                 if b is None:
                     b = bounds[d] = child_bounds(cell_sums[:n], wo[d],
@@ -412,10 +441,10 @@ class Tree:
                 # two or more internal children: bound all of their children
                 # in one call, child i's slab holding the machine in cell
                 # todo[i]. A child that opens no cell gets one zero row more
-                # than it has children, which changes none of its bounds, as
-                # best_others clips at 0
+                # than it has children, whose bound repeats that of its new
+                # cell, as best_others clips at 0
                 if len(todo) > 1 and d + 1 < m:
-                    rows = min(k + 2, c_max)
+                    rows = span[k + 1]
                     grand[d] = child_bounds(
                         cell_sums[:rows] + unit[todo, :rows] * wo[d],
                         wo[d + 1], offset[d + 1])
@@ -426,6 +455,7 @@ class Tree:
                 cut = n - len(todo)
                 if cut:  # counted in one step, never walked
                     if node_limit is not None and nodes + cut > node_limit:
+                        self.owed = nodes + cut - node_limit
                         cut = node_limit - nodes
                         truncated = True
                     nodes += cut
@@ -439,7 +469,7 @@ class Tree:
                 kids[d] = bounds[d] = None
                 d -= 1
                 if d >= 0:  # leave the parent's cell the way it was
-                    cell_sums[trying[d]] -= wo[d]
+                    cell_row[trying[d]] -= w_row[d]
                 continue
             c = todo[i]
             kc = k + 1 if c == k else k
@@ -464,7 +494,20 @@ class Tree:
                 pruned_bound += 1
                 continue
 
-            if depth == m:
+            g = grand[d]
+            if g is not None:  # the child's children are bounded already
+                g = g[i]
+                nk = span[kc]
+                # none beats best_F: count them as the child's entry would,
+                # unless the budget ends inside them, and never enter it
+                if max(g) <= best_F and (node_limit is None
+                                         or nodes + nk <= node_limit):
+                    nodes += nk
+                    pruned_bound += nk
+                    if depth + 1 > max_depth:
+                        max_depth = depth + 1
+                    continue
+            elif depth == m:
                 leaves += 1
                 sums = cell_sums[:kc].copy()
                 sums[c] += wo[d]
@@ -481,15 +524,16 @@ class Tree:
                         break
                 continue
 
-            cell_sums[c] += wo[d]
-            if grand[d] is not None:  # the child's entry makes no call
-                bounds[depth] = grand[d][i][:min(kc + 1, c_max)]
+            cell_row[c] += w_row[d]
+            if g is not None:  # the child's entry makes no call
+                bounds[depth] = g[:nk]
             d = depth
             opened[d] = kc
 
         self.d = d
         self.floor = best_F if incumbent_F is None else incumbent_F
-        stats = SubproblemStats(nodes, leaves, pruned_bound, max_depth)
+        stats = SubproblemStats(nodes, leaves, pruned_bound, max_depth,
+                                entered)
         solution = None
         if best_m is not None:
             solution = canonicalize(Solution(max(best_m), best_m, best_p))

@@ -67,6 +67,7 @@ class IterationRecord:
     lam: Ratio
     F: int
     nodes: int  # visited and cut since the last raise of lambda
+    entered: int  # nodes whose children the search sorted
     time_ms: int
     leaves: int
     pruned: int  # nodes cut by the bound
@@ -221,12 +222,14 @@ def solve(
                                            regime, deadline))
             polished = raw_ratio(inst, incumbent)
             polish_ms = int(round((time.monotonic() - polish_t0) * 1000))
-        rec = IterationRecord(rounds, lam, F, st.nodes, int(round(it_s * 1000)),
-                              st.leaves, st.pruned_bound, polish_ms, polished)
+        rec = IterationRecord(rounds, lam, F, st.nodes, st.entered,
+                              int(round(it_s * 1000)), st.leaves,
+                              st.pruned_bound, polish_ms, polished)
         history.append(rec)
-        log.info("iter=%d lambda=%s F=%d nodes=%d leaves=%d pruned=%d "
-                 "nodes_per_s=%d time_ms=%d polish_ms=%d polished=%s",
-                 rounds, lam, F, rec.nodes, rec.leaves, rec.pruned,
+        log.info("iter=%d lambda=%s F=%d nodes=%d entered=%d leaves=%d "
+                 "pruned=%d nodes_per_s=%d time_ms=%d polish_ms=%d "
+                 "polished=%s",
+                 rounds, lam, F, rec.nodes, rec.entered, rec.leaves, rec.pruned,
                  rec.nodes / it_s if it_s > 0 else 0, rec.time_ms,
                  rec.polish_ms, "-" if polished is None else polished)
 

@@ -9,10 +9,14 @@ import itertools
 import random
 from fractions import Fraction
 
-from cellform.bnb import label_cap
+import numpy as np
+
+from cellform.bnb import (child_bounds, future_bounds, label_cap,
+                          make_weights, optimal_parts)
 from cellform.heuristic import _random_machine_cells, fit_parts
 from cellform.instances import Instance
-from cellform.solutions import Regime, canonicalize, efficacy, renumber
+from cellform.solutions import (Regime, Solution, canonicalize, efficacy,
+                                renumber)
 
 
 def random_instance(rng: random.Random, m: int, p: int, density: float,
@@ -82,6 +86,95 @@ def naive_best(inst, regime) -> Fraction:
             if val > best:
                 best = val
     return best
+
+
+class _Stop(Exception):
+    pass
+
+
+def reference_search(inst, lam, regime, incumbent_F=None, node_limit=None):
+    """bnb.Tree.run from the root as a plain recursive depth-first search:
+    one child_bounds call per node, on its open cells and, below the label
+    cap, a zero row for a new cell; no stacked call and no child counted
+    without a visit. A node cuts the children whose bound cannot beat the
+    best F so far, counting them as nodes and prunes at once at one depth
+    below it, then visits the rest best bound first, ties in label order,
+    counting each as a node, and as a prune when the best F has risen to
+    its bound. Without incumbent_F the search returns the maximum; with it,
+    the first leaf that beats it. A node budget stops the search before a
+    node past it, partway through a node's cut children included. Returns
+    (best_F, solution, truncated, (nodes, leaves, pruned_bound,
+    max_depth))."""
+    m, p = inst.m, inst.p
+    no_res = regime is Regime.NO_RESIDUAL
+    cap = label_cap(inst, regime)
+    order = sorted(range(m), key=lambda i: (-sum(inst.a[i]), i))
+    wo = make_weights(inst, lam)[order]
+    const = lam.num * inst.n1
+    future = future_bounds(wo)
+    best = {"F": float("-inf") if incumbent_F is None else incumbent_F,
+            "solution": None}
+    st = {"nodes": 0, "leaves": 0, "pruned": 0, "depth": 0}
+    labels = []
+
+    def count(n, depth):
+        st["depth"] = max(st["depth"], depth)
+        if node_limit is not None and st["nodes"] + n > node_limit:
+            n = node_limit - st["nodes"]
+            st["nodes"] += n
+            st["pruned"] += n
+            raise _Stop(True)
+        st["nodes"] += n
+        st["pruned"] += n
+
+    def visit(cells):
+        d = len(labels)
+        rows = cells + [np.zeros(p, dtype=np.int64)] * (len(cells) < cap)
+        b = child_bounds(np.array(rows), wo[d], future[d + 1] - const)
+        kids = sorted((c for c in range(len(rows)) if b[c] > best["F"]),
+                      key=lambda c: (-b[c], c))
+        if len(kids) < len(rows):
+            count(len(rows) - len(kids), d + 1)
+        for c in kids:
+            if node_limit is not None and st["nodes"] >= node_limit:
+                raise _Stop(True)
+            st["nodes"] += 1
+            st["depth"] = max(st["depth"], d + 1)
+            if b[c] <= best["F"]:
+                st["pruned"] += 1
+                continue
+            child = [row.copy() for row in rows[:max(len(cells), c + 1)]]
+            child[c] += wo[d]
+            labels.append(c)
+            if d + 1 < m:
+                visit(child)
+            else:
+                st["leaves"] += 1
+                part_cell, total = optimal_parts(np.array(child), no_res)
+                if total - const > best["F"]:
+                    best["F"] = total - const
+                    machine_cell = [0] * m
+                    for t in range(m):
+                        machine_cell[order[t]] = labels[t] + 1
+                    best["solution"] = Solution(max(machine_cell),
+                                                machine_cell,
+                                                part_cell.tolist())
+                    if incumbent_F is not None:
+                        raise _Stop(False)
+            labels.pop()
+
+    truncated = False
+    try:
+        visit([])
+    except _Stop as stop:
+        truncated = stop.args[0]
+    sol = best["solution"]
+    if sol is not None:
+        sol = canonicalize(sol)
+        efficacy(inst, sol)
+    best_F = None if best["F"] == float("-inf") else best["F"]
+    return best_F, sol, truncated, (st["nodes"], st["leaves"], st["pruned"],
+                                    st["depth"])
 
 
 def planted_instance(seed: int, m: int, p: int, k: int, p_in: float,

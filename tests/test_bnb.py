@@ -22,7 +22,7 @@ from cellform.rational import Ratio, parse_ratio
 from cellform.solutions import Regime, check_feasible, efficacy_counts
 
 from helpers import (machine_partitions, pair_counts, part_vectors,
-                     planted_instance, random_instance)
+                     planted_instance, random_instance, reference_search)
 
 # the engine name each result reports in SubproblemStats.engine
 ENGINES = ["python"]
@@ -292,7 +292,12 @@ def test_stacked_child_bounds_equal_one_call_per_node():
             # that opens no cell, leaves every bound as it was
             spare = np.vstack((child_rows(sums[node], c_max),
                                np.zeros((1, p), dtype=np.int64)))
-            assert child_bounds(spare, rows[node], future - const)[:-1] == want
+            spared = child_bounds(spare, rows[node], future - const)
+            assert spared[:-1] == want
+            # and repeats the new cell's bound, so the search may compare
+            # the largest of all of them with its threshold
+            if k < c_max:
+                assert spared[-1] == want[-1]
         seen["k=1"] += k == 1
         seen["zero row"] += k < c_max
         seen["k=c_max"] += k == c_max
@@ -643,7 +648,7 @@ def test_a_search_chopped_by_node_budgets_agrees_with_a_fresh_search():
                     chopped += 1
                 else:
                     pytest.fail(f"budgeted runs make no progress: {where}")
-                assert counted <= whole.stats.nodes, where
+                assert counted == whole.stats.nodes, where
                 fresh = solve_subproblem(inst, lam, regime, incumbent_F=0)
                 assert res.best_F == whole.best_F, where
                 assert res.solution == whole.solution, where
@@ -656,6 +661,47 @@ def test_a_search_chopped_by_node_budgets_agrees_with_a_fresh_search():
                 assert F == res.best_F > 0, where
                 answered += 1
     assert chopped >= 300 and answered >= 200, (chopped, answered)
+
+
+def test_the_search_matches_a_plain_recursive_search():
+    # Tree.run from the root, with its stacked calls and the children it
+    # counts without entering them, returns the answer and the counts of
+    # a recursive search that bounds each node on its own: the maximum
+    # without an incumbent, the first better leaf with one, and the same
+    # stop under a node budget, inside a node's cut children included. A
+    # run that ends with the search done leaves no row in the cell sums
+    rng = random.Random(101)
+    seen = {"budgeted": 0, "stopped": 0, "answered": 0, "done": 0}
+    for trial in range(110):
+        if trial % 3:
+            inst = random_instance(rng, rng.randrange(2, 9),
+                                   rng.randrange(2, 11), rng.choice((.3, .5)))
+        else:
+            inst, _ = planted_instance(trial, rng.randrange(7, 10), 12, 3,
+                                       .7, .15)
+        lam = Ratio(rng.randrange(0, 20), 20)
+        for regime in Regime:
+            for incumbent_F in (0, None):
+                whole = reference_search(inst, lam, regime, incumbent_F)
+                for node_limit in (None, rng.randrange(1, whole[3][0] + 1)):
+                    tree = Tree(inst, regime)
+                    res = tree.run(lam, incumbent_F, node_limit=node_limit)
+                    st = res.stats
+                    got = (res.best_F, res.solution, res.truncated,
+                           (st.nodes, st.leaves, st.pruned_bound,
+                            st.max_depth))
+                    want = reference_search(inst, lam, regime, incumbent_F,
+                                            node_limit)
+                    assert got == want, (inst.a, str(lam), regime,
+                                         incumbent_F, node_limit)
+                    if tree.d < 0:
+                        assert not tree.cell_sums.any()
+                        seen["done"] += 1
+                    seen["budgeted"] += node_limit is not None
+                    seen["stopped"] += res.truncated
+                    seen["answered"] += (incumbent_F is not None
+                                         and res.solution is not None)
+    assert min(seen.values()) >= 100, seen
 
 
 def test_a_budget_of_the_nodes_a_search_needs_completes_it():

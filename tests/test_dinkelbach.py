@@ -201,6 +201,7 @@ def test_iteration_log_lines(ref_instance, two_cell, caplog):
         assert fields["lambda"] == str(rec.lam)
         assert fields["F"] == str(rec.F)
         assert fields["nodes"] == str(rec.nodes)
+        assert fields["entered"] == str(rec.entered)
         assert fields["leaves"] == str(rec.leaves)
         assert fields["pruned"] == str(rec.pruned)
         assert int(fields["nodes_per_s"]) >= 0
@@ -402,10 +403,12 @@ def test_planted_solves_are_pinned():
 
 def test_baseline_row_solve_is_pinned(monkeypatch):
     # a heuristic-seeded proof of the planted 16x24/k5 .8/.08 baseline row;
-    # its node count is where a weaker bound shows first, and its count of
-    # the search's child_bounds calls (a stacked call counts as one) is the
-    # machine-independent cost of its nodes: a node with two or more
-    # internal children left bounds all of their children in one call
+    # its node count is where a weaker bound shows first, and its counts of
+    # the search's child_bounds calls (a stacked call counts as one) and of
+    # the nodes it entered are the machine-independent cost of its nodes: a
+    # node with two or more internal children left bounds all of their
+    # children in one call, and a child whose children that call cuts is
+    # counted without being entered
     inst, _ = planted_instance(0, 16, 24, 5, .8, .08)
     regime = Regime.NO_RESIDUAL
     seed = heuristic_solve(inst, SearchConfig(regime=regime, restarts=8,
@@ -423,12 +426,15 @@ def test_baseline_row_solve_is_pinned(monkeypatch):
     assert out.solution.efficacy == seed.efficacy == Ratio(55, 93)
     assert out.nodes == 54370
     assert calls == {"one node": 2324, "stacked": 2047}
+    assert sum(rec.entered for rec in out.history) == 6024
     # the seed itself hands over its tree, which stopped 18 768 nodes into
-    # the search without certifying the seed; the solve finishes it
+    # the search without certifying the seed; the solve counts first the
+    # cut children its budget stopped inside and finishes it, so the two
+    # count the nodes of the proof from the root
     out = solve(inst, regime, seed_solution=seed)
     assert out.status is SolveStatus.OPTIMAL
     assert out.solution.efficacy == Ratio(55, 93)
-    assert out.nodes == 35576
+    assert out.nodes == 35602 == 54370 - 18768
 
 
 # ------------------------------------------------ the seed's tree, handed over

@@ -1,7 +1,10 @@
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,25 +37,56 @@ def test_the_untraced_benchmark_runs_every_workload():
     run_every_workload("0")
 
 
-def test_every_seeded_clean_op_proves_its_reference_optimum(tmp_path,
-                                                            monkeypatch):
-    # the whole seed-0 seeded-clean pool through Bench.run_op, the path the
-    # benchmark times: every heuristic seed hands its tree to the solve,
-    # which proves the 119 certified seeds in no node, and every op ends
-    # Optimal at its reference optimum in one round
+def run_ops(tmp_path, monkeypatch, workload, count):
+    # the first count seed-0 ops of a workload through Bench.run_op, the
+    # path the benchmark times, checked against its reference optima
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import cellform
     import run
     import workloads
 
-    bench = run.Bench(cellform, workloads.WORKLOADS["seeded-clean"], 0,
-                      tmp_path)
+    bench = run.Bench(cellform, workloads.WORKLOADS[workload], 0, tmp_path)
     bench.set_up(workloads.ops_of)
     bench.load_references()
-    assert len(bench.ops) == len(bench.references) == 120
-    results = [bench.run_op(i) for i in range(len(bench.ops))]
+    results = [bench.run_op(i) for i in range(count)]
     for r in results:
-        assert r.error == "" and r.status == "Optimal", r
+        assert r.error == "", r
+    return bench, results
+
+
+def test_every_seeded_clean_op_proves_its_reference_optimum(tmp_path,
+                                                            monkeypatch):
+    # the whole seed-0 seeded-clean pool: every heuristic seed hands its
+    # tree to the solve, which proves the 119 certified seeds in no node
+    # and counts first the cut children that a seed tree's budget stopped
+    # inside; every op ends Optimal at its reference optimum in one round
+    bench, results = run_ops(tmp_path, monkeypatch, "seeded-clean", 120)
+    assert len(bench.ops) == len(bench.references) == 120
+    for r in results:
+        assert r.status == "Optimal", r
         assert r.ratio == str(bench.references[r.index]), r
     assert sum(r.rounds for r in results) == 120
-    assert sum(r.nodes for r in results) == 408
+    assert sum(r.nodes for r in results) == 428
+
+
+def outcome_digest(results):
+    text = "".join(f"{r.status} {r.ratio}\n" for r in results)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("workload, count, nodes, rounds, status, digest", [
+    ("capped-hard", 24, 1_200_000, 39, "NodeLimit", "4c669792efa69da5"),
+    ("proof-planted", 120, 136_627, 250, "Optimal", "871940f9e0e53f05"),
+])
+def test_the_planted_seed_workloads_are_pinned(tmp_path, monkeypatch,
+                                               workload, count, nodes, rounds,
+                                               status, digest):
+    # the first ops of the two workloads seeded with the planted grouping:
+    # the budgeted one stops every op on its node budget, the other proves
+    # every op. Their summed nodes and rounds, and each op's status and
+    # exact efficacy, move with any change to what a search visits
+    _, results = run_ops(tmp_path, monkeypatch, workload, count)
+    assert {r.status for r in results} == {status}
+    assert sum(r.nodes for r in results) == nodes
+    assert sum(r.rounds for r in results) == rounds
+    assert outcome_digest(results) == digest
