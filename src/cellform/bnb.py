@@ -385,13 +385,21 @@ class Tree:
         solve_subproblem does from the root; time_limit and node_limit
         bound this run. A tree that has run resumes only at a lambda no
         lower than its last, from a last threshold <= 0 to an incumbent_F
-        >= 0: everything it pruned or passed then stays settled."""
+        >= 0: everything it pruned or passed then stays settled. A tree
+        whose search has finished has nothing left to visit, so such a
+        run returns incumbent_F at once, in no node and without weighing
+        the instance at lam."""
         resuming = self.lam is not None
         if resuming and (lam < self.lam or self.floor > 0
                          or incumbent_F is None or incumbent_F < 0):
             raise ValueError(
                 f"cannot resume from lambda {self.lam} (threshold "
                 f"{self.floor}) at {lam} (incumbent_F {incumbent_F})")
+        if self.d < 0:  # the search is finished: nothing left to visit
+            self.lam = lam
+            self.floor = incumbent_F
+            return SubproblemResult(incumbent_F, None, False,
+                                    SubproblemStats())
         self._weigh(lam)
         if resuming:
             self._resume()

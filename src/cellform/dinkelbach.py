@@ -26,9 +26,10 @@ the sequence is strictly increasing and finite.
 A seed from heuristic_solve carries the Tree that tried to certify it. The
 solve takes it over as its one tree when it searched the same instance
 object in the same regime at a ratio no higher than the seed's, which is
-the tree's own resume rule: a certified seed is then proved in no node
-instead of twice, and a seed whose tree ran out of budget is searched on
-from where it stopped. A seed reused after its tree moved above it gets a
+the tree's own resume rule: a certified seed's tree has finished, so its
+first round returns at once and proves the seed in no node instead of
+twice, and a seed whose tree ran out of budget is searched on from where
+it stopped. A seed reused after its tree moved above it gets a
 fresh tree.
 
 A subsolver passed to solve replaces the tree with one call per round, each

@@ -40,20 +40,24 @@ tie it, and ties keep the first, so the restarts stop with the result
 that running them all would give, part labels included. A run that stops
 on a better grouping does not take it, so the result stays that of the
 climbs; resumed at the same lam, the tree stops on that grouping again
-after one node. The climbs buy the tree's nodes: its budget is the
-relocation rows that the climbs of the call have scored - m*(k+1) for
-each grouping whose neighbours they scored - minus the nodes it has
+after one node. The climbs buy the tree's nodes: after j climbs its
+budget is the relocation rows that all restarts would score at the mean
+of those j - scored * restarts // j, where scored counts m*(k+1) rows for
+each grouping whose neighbours the climbs scored - minus the nodes it has
 used, so one scored neighbour buys one bounded child, with no constant
-and no option. A run stopped by that budget resumes where it stopped, at
-the next run's lam. A call whose tree never certifies runs every
-restart, as it would without the tree, and takes about twice as long as
-its climbs: on 24 planted 16x24/k5 and 24x40/k7 instances at 8 restarts
-the climbs took 2.04 of 3.91 s (1.92x, the fastest of three runs on 2
-CPUs), with 1 285 199 tree nodes against 1 479 880 scored rows. The
-budget caps the tree's nodes, not its time. Those nodes are not lost: the
-returned seed carries the tree as Solution.tree, and dinkelbach.solve
-resumes it in its first round, so a certified seed costs the solve no node
-and an uncertified one is searched on from where its budget stopped.
+and no option. A tree that can certify after one climb thus gets the
+nodes that the restarts it saves would buy, without running them. A run
+stopped by that budget resumes where it stopped, at the next run's lam.
+A call whose tree never certifies runs every restart, as it would
+without the tree, and takes about twice as long as its climbs: on 24
+planted 16x24/k5 and 24x40/k7 instances at 8 restarts the climbs took
+1.47 of 2.90 s (1.98x, the fastest of three runs on 2 CPUs), with
+1 662 556 tree nodes against 1 479 880 scored rows. The budget caps the
+tree's nodes, not its time. Those nodes are not lost: the returned seed
+carries the tree as Solution.tree, and dinkelbach.solve resumes it in its
+first round, so a certified seed costs the solve no node (a finished
+tree returns at once) and an uncertified one is searched on from where
+its budget stopped.
 
 Determinism: the same rng_seed gives the same answer as long as the time
 budget does not cut a run short. The budget is polled once before all
@@ -284,14 +288,15 @@ def heuristic_solve(inst: Instance, cfg: SearchConfig) -> Solution:
 
     After every climb but the last, one bnb.Tree of this call resumes at
     the best efficacy so far with incumbent_F = 0, on a node budget of the
-    relocation rows the climbs have scored minus the nodes the tree has
-    used, as long as that is positive. A run that completes without a
-    grouping certifies that no grouping beats the incumbent, so the
-    restarts stop: the later ones could only tie, and ties keep the first,
-    so the result is the one all restarts give. The budget is 1:1 with the
-    climbs' scored neighbours, so a call that never certifies takes about
-    twice as long as its climbs (see the module docstring). The result
-    carries the tree as its tree field, for dinkelbach.solve to resume.
+    relocation rows that all cfg.restarts climbs would score at the mean
+    of the climbs so far, minus the nodes the tree has used, as long as
+    that is positive. A run that completes without a grouping certifies
+    that no grouping beats the incumbent, so the restarts stop: the later
+    ones could only tie, and ties keep the first, so the result is the one
+    all restarts give. The budget is 1:1 with the neighbours that all the
+    restarts would score, so a call that never certifies takes about twice
+    as long as its climbs (see the module docstring). The result carries
+    the tree as its tree field, for dinkelbach.solve to resume.
     Logs one INFO line: the climbs run out of cfg.restarts, the tree's
     nodes, the scored rows and whether the seed was certified."""
     regime = cfg.regime
@@ -313,11 +318,13 @@ def heuristic_solve(inst: Instance, cfg: SearchConfig) -> Solution:
         if best is None or sol.efficacy > best.efficacy:
             best = sol
         scored = inst.m * (sum(path) + len(path))  # m*(k+1) per grouping
-        if climbs == cfg.restarts or scored <= used or _past(deadline):
+        # the rows all restarts would score, at the mean of the climbs so far
+        budget = scored * cfg.restarts // climbs
+        if climbs == cfg.restarts or budget <= used or _past(deadline):
             continue
         res = tree.run(best.efficacy, 0,
                        None if deadline is None else deadline - time.monotonic(),
-                       scored - used)
+                       budget - used)
         used += res.stats.nodes
         if res.solution is None and not res.truncated:
             certified = True

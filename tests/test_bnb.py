@@ -6,6 +6,7 @@ import pytest
 
 from cellform import bnb
 from cellform.bnb import (
+    SubproblemStats,
     Tree,
     _min_loss_cover,
     best_others,
@@ -610,6 +611,54 @@ def test_resumed_tree_agrees_with_a_fresh_search():
             with pytest.raises(ValueError):
                 tree.run(lams[-1], None)
     assert resumed >= 200 and answered >= 40, (resumed, answered)
+
+
+def test_a_finished_tree_returns_at_once(monkeypatch):
+    # a tree whose search has completed has nothing left to visit: a run at
+    # an equal or higher lambda returns its incumbent_F in no node, without
+    # weighing the instance at the new lambda, and the resume rule still
+    # holds
+    weighed = []
+
+    def spy(name):
+        real = getattr(bnb, name)
+
+        def call(*args):
+            weighed.append(name)
+            return real(*args)
+        monkeypatch.setattr(bnb, name, call)
+
+    spy("make_weights")
+    spy("future_bounds")
+    rng = random.Random(53)
+    for trial in range(30):
+        if trial % 3:
+            inst = random_instance(rng, rng.randrange(2, 8),
+                                   rng.randrange(2, 9), rng.choice((.3, .5)))
+        else:
+            inst, _ = planted_instance(trial, 9, 12, 3, .7, .15)
+        for regime in Regime:
+            tree = Tree(inst, regime)
+            lam = Ratio(0, 1)
+            while (res := tree.run(lam, 0)).solution is not None:
+                lam = res.solution.efficacy
+            where = (inst.a, regime, str(lam))
+            assert tree.d < 0 and not res.truncated, where
+            weighed.clear()
+            for at, node_limit in ((lam, None), (lam, 0), (Ratio(1, 1), 1)):
+                res = tree.run(at, 0, 1.0, node_limit)
+                assert (res.best_F, res.solution, res.truncated,
+                        res.stats) == (0, None, False, SubproblemStats()), where
+            # it has run at 1, so a lower ratio would be inexact, and so
+            # would a search for the maximum
+            with pytest.raises(ValueError):
+                tree.run(Ratio(1, 2), 0)
+            with pytest.raises(ValueError):
+                tree.run(Ratio(1, 1), None)
+            res = tree.run(Ratio(1, 1), 3)
+            assert (res.best_F, res.solution, res.truncated,
+                    res.stats) == (3, None, False, SubproblemStats()), where
+            assert weighed == [], where
 
 
 def test_a_search_chopped_by_node_budgets_agrees_with_a_fresh_search():

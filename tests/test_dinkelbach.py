@@ -427,14 +427,14 @@ def test_baseline_row_solve_is_pinned(monkeypatch):
     assert out.nodes == 54370
     assert calls == {"one node": 2324, "stacked": 2047}
     assert sum(rec.entered for rec in out.history) == 6024
-    # the seed itself hands over its tree, which stopped 18 768 nodes into
+    # the seed itself hands over its tree, which stopped 23 168 nodes into
     # the search without certifying the seed; the solve counts first the
     # cut children its budget stopped inside and finishes it, so the two
     # count the nodes of the proof from the root
     out = solve(inst, regime, seed_solution=seed)
     assert out.status is SolveStatus.OPTIMAL
     assert out.solution.efficacy == Ratio(55, 93)
-    assert out.nodes == 35602 == 54370 - 18768
+    assert out.nodes == 31202 == 54370 - 23168
 
 
 # ------------------------------------------------ the seed's tree, handed over

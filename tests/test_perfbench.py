@@ -54,19 +54,37 @@ def run_ops(tmp_path, monkeypatch, workload, count):
     return bench, results
 
 
+def seed_digest(seeds):
+    text = "".join(f"{s.machine_cell} {s.part_cell}\n" for s in seeds)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def test_every_seeded_clean_op_proves_its_reference_optimum(tmp_path,
                                                             monkeypatch):
     # the whole seed-0 seeded-clean pool: every heuristic seed hands its
-    # tree to the solve, which proves the 119 certified seeds in no node
-    # and counts first the cut children that a seed tree's budget stopped
-    # inside; every op ends Optimal at its reference optimum in one round
+    # tree to the solve, and every tree certifies its seed, so the solve
+    # proves all 120 in no node; every op ends Optimal at its reference
+    # optimum in one round. The seeds' groupings are pinned: a certificate
+    # may stop the restarts sooner or later, but never changes a seed
+    import cellform
+
+    heuristic_solve = cellform.heuristic_solve
+    seeds = []
+
+    def recorded(inst, cfg):
+        seeds.append(heuristic_solve(inst, cfg))
+        return seeds[-1]
+
+    monkeypatch.setattr(cellform, "heuristic_solve", recorded)
     bench, results = run_ops(tmp_path, monkeypatch, "seeded-clean", 120)
     assert len(bench.ops) == len(bench.references) == 120
     for r in results:
         assert r.status == "Optimal", r
         assert r.ratio == str(bench.references[r.index]), r
     assert sum(r.rounds for r in results) == 120
-    assert sum(r.nodes for r in results) == 428
+    assert sum(r.nodes for r in results) == 0
+    # the last 120 seeds are the ops'; set-up seeds A2 before them
+    assert seed_digest(seeds[-120:]) == "89325b46649ecf37"
 
 
 def outcome_digest(results):
