@@ -316,15 +316,20 @@ class Tree:
     incumbent_F, or the one a budget stops at - and leaves it under the
     cursor, so the next run starts by visiting it again, at that run's
     lambda. A run checks its node budget and its deadline before it counts
-    a child, so a budget stops it on a child it has not counted; a budget
-    that ends among the cut children of a node counts the ones it can and
-    leaves the rest owed, for the next run to count first, within its own
-    budget. So a run under a budget of n nodes counts at most n and moves
-    the search that far on, runs chopped by budgets count what one run
-    would, and one whose budget equals the nodes left to visit finishes. A
-    leaf that stopped a run is counted again when the next run visits it.
-    The stored lists hold the last run's lambda, so a resumed run drops
-    them and re-bounds the nodes on the stack one call each.
+    a child, so it stops only on a child it has not counted. A node's cut
+    children are counted in one step when the search enters it, unless
+    they are more than the budget has left: then they go first in its list
+    of children to visit, and the cursor counts them one at a time as it
+    counts any child whose bound cannot beat the threshold, in this run
+    and the next; a child cut at one lambda stays cut at any later run's
+    (see the module docstring). So a run under a budget of n nodes counts
+    at most n and moves the search that far on, runs chopped by budgets
+    count what one run would, and one whose budget equals the nodes left
+    to visit finishes. A leaf that stopped a run is counted again when the
+    next run visits it. The stored lists hold the last run's lambda, so a
+    resumed run drops them and re-bounds the nodes on the stack one call
+    each; a node's cut children put first in its list never meet those
+    lists, because the run that puts them there stops among them.
     """
 
     def __init__(self, inst: Instance, regime: Regime):
@@ -354,7 +359,6 @@ class Tree:
         self.d = 0  # deepest node on the stack; -1 once the search is done
         self.lam = None  # the last run's lambda
         self.floor = None  # the last run's prune threshold at its end
-        self.owed = 0  # cut children counted by no run yet
 
     def _weigh(self, lam: Ratio) -> None:
         wo = make_weights(self.inst, lam)[self.order]
@@ -425,16 +429,8 @@ class Tree:
         truncated = False
         d = self.d
         tick = 0
-        owed = self.owed
-        if owed:  # cut children the last run's budget left uncounted come
-            # first; a budget that ends among them again stops the run there
-            cut = owed if node_limit is None else min(owed, node_limit)
-            nodes = pruned_bound = cut
-            max_depth = d + 1
-            self.owed = owed - cut
-            truncated = self.owed > 0
 
-        while d >= 0 and not truncated:
+        while d >= 0:
             k = opened[d]
             todo = kids[d]
             if todo is None:  # entering the node: cut, then sort its children
@@ -461,17 +457,17 @@ class Tree:
                 kids[d] = todo
                 cursor[d] = 0
                 cut = n - len(todo)
-                if cut:  # counted in one step, never walked
+                if cut:
                     if node_limit is not None and nodes + cut > node_limit:
-                        self.owed = nodes + cut - node_limit
-                        cut = node_limit - nodes
-                        truncated = True
-                    nodes += cut
-                    pruned_bound += cut
+                        # more than the budget has left: they go first, for
+                        # the cursor to count one at a time, this run and
+                        # the next
+                        todo[:0] = [c for c in range(n) if b[c] <= best_F]
+                    else:  # counted in one step, never walked
+                        nodes += cut
+                        pruned_bound += cut
                     if d + 1 > max_depth:
                         max_depth = d + 1
-                    if truncated:
-                        break
             i = cursor[d]
             if i == len(todo):
                 kids[d] = bounds[d] = None

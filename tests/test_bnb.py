@@ -6,6 +6,7 @@ import pytest
 
 from cellform import bnb
 from cellform.bnb import (
+    _TAIL_EXACT,
     SubproblemStats,
     Tree,
     _min_loss_cover,
@@ -373,7 +374,7 @@ def test_future_bounds_are_exact_on_the_tail_and_chain_above_it():
     rng = random.Random(47)
     chained = 0
     for _ in range(300):
-        m = rng.randrange(1, 10)
+        m = rng.randrange(1, _TAIL_EXACT + 4)
         p = rng.randrange(1, 7)
         w = np.array([[rng.randrange(-6, 7) for _ in range(p)]
                       for _ in range(m)], dtype=np.int64)
@@ -382,7 +383,7 @@ def test_future_bounds_are_exact_on_the_tail_and_chain_above_it():
         for d in range(m):
             positive = int(np.maximum(w[d], 0).sum())
             assert future[d + 1] <= future[d] <= future[d + 1] + positive
-            if d >= m - 6:
+            if d >= m - _TAIL_EXACT:
                 assert future[d] == best_grouping_value(w[d:]), (w, d)
             else:
                 assert future[d] == future[d + 1] + positive
@@ -825,14 +826,14 @@ def test_budgets_truncate(ref_instance, engine):
     res = solve_subproblem(ref_instance, Ratio(1, 2), Regime.NO_RESIDUAL,
                            node_limit=3)
     assert res.truncated
-    assert res.stats.nodes <= 4
+    assert res.stats.nodes == 3  # a truncated run counts its whole budget
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_void_prune_engages_and_stays_safe(engine):
-    # a proof round on zero rows, which make every cell eat voids in all
-    # columns that the additive bound never charges; the bound alone still
-    # proves the incumbent, and its node count is pinned
+def test_the_bound_alone_proves_a_round_on_zero_rows(engine):
+    # a proof round on zero rows: a cell eats voids in every column, which
+    # the additive bound never charges, yet the bound alone proves the
+    # incumbent, in a pinned 206 nodes; the unpruned search agrees
     rows = ((0, 1, 0), (0, 0, 1), (1, 0, 0), (0, 0, 0),
             (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 1))
     inst = Instance("v", 8, 3, rows)

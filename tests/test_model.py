@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from cellform.dinkelbach import SolveStatus, raw_ratio, solve
+from cellform.heuristic import SearchConfig, heuristic_solve
 from cellform.instances import Instance
 from cellform.model import (
     DecodeError,
@@ -19,7 +22,7 @@ from cellform.oracle import oracle_solve
 from cellform.rational import Ratio
 from cellform.solutions import Regime, Solution, canonicalize, efficacy
 
-from helpers import random_instance
+from helpers import planted_instance, random_instance
 
 
 def rand_feasible(rng, inst, regime):
@@ -283,3 +286,34 @@ def test_model_agrees_with_oracle_argmax():
                 assign = encode(inst, opt)
                 assert objective_value(model, assign) == 0
                 assert violated_rows(model, assign) == []
+
+
+# ---------------------------------------------------------------- HiGHS
+
+
+@pytest.mark.parametrize("regime", list(Regime), ids=lambda r: r.value)
+@pytest.mark.parametrize("args", [(1, 10, 12, 4, .7, .12),
+                                  (2, 10, 14, 4, .65, .15)],
+                         ids=["10x12", "10x14"])
+def test_highs_proves_the_solve_optimal_beyond_the_oracle(args, regime,
+                                                          monkeypatch):
+    # the paper's 0-1 model, solved by HiGHS as the benchmark's references
+    # are checked: nothing beats the solve's ratio lambda*, and at a ratio
+    # just below it a grouping does. Both instances are above the oracle's
+    # size guard
+    pytest.importorskip("scipy")
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import cellform
+    from make_references import milp_max_F
+
+    inst, _ = planted_instance(*args)
+    seed = heuristic_solve(inst, SearchConfig(regime=regime))
+    out = solve(inst, regime, seed_solution=seed)
+    assert out.status is SolveStatus.OPTIMAL
+    lam = raw_ratio(inst, out.solution)
+    below = Ratio(2 * lam.num - 1, 2 * lam.den)
+    assert milp_max_F(cellform, inst, lam, regime, 60.0) == 0
+    assert milp_max_F(cellform, inst, below, regime, 60.0) > 0
+    model = build_model(inst, lam, regime)
+    assert objective_value(model, encode(inst, out.solution)) == 0
