@@ -20,17 +20,18 @@ other cell in a column, clipped at 0, comes from best_others, which the
 heuristic's screen shares. The children whose bound cannot beat the
 threshold are cut right there, counted as nodes and prunes in one step and
 never walked; the rest are visited best bound first, ties in label order.
-The cost of child_bounds is per numpy call, not per element, so a node
-with two or more internal children left to visit also bounds all of their
+The cost of child_bounds is per numpy call, not per element, so a node with
+two or more internal children left to visit also bounds all of their
 children in one stacked call, one slab of cell sums per child, and a child
 the search enters then makes no call of its own; a node with one child left
-lets that child bound its children when the search enters it. A child whose
-children the stacked call shows all cut is counted with them, as nodes and
-prunes, from the parent's bounds and never entered. A machine's row enters
-the cell sums only when the search descends through it, added to and later
-taken from the cell's row in place through views made once per run; leaves
-build their sums on demand. The search is a single depth-first loop over an
-explicit stack in plain Python and numpy.
+lets that child bound its children when the search enters it. A node whose
+cut children overflow the node budget makes no stacked call: the run stops
+among them. A child whose children the stacked call shows all cut is
+counted with them, as nodes and prunes, from the parent's bounds and never
+entered. A machine's row enters the cell sums only when the search descends
+through it, added to and later taken from the cell's row in place through
+views made once per run; leaves build their sums on demand. The search is a
+single depth-first loop over an explicit stack in plain Python and numpy.
 
 The bound is admissible in both regimes. In any completion a part's value
 is at most max(0, its best column sum over the assigned rows of a cell)
@@ -60,6 +61,7 @@ nothing beats its lambda.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass
 from typing import ClassVar
@@ -303,33 +305,37 @@ class Tree:
 
     Each depth keeps the children of its node still to visit, in visiting
     order, and a cursor into them, and, when two or more of them are
-    internal, the lists of their child bounds from one stacked call, in the
-    same order; descending into child i gives it list i as its bounds, and
-    leaving a node drops its bounds. A child whose list holds no bound
-    above the threshold is not entered: the run counts it and its children
-    in place, as entering it would, unless the node budget ends among them.
-    Descending and returning add and take the machine's weights to and
-    from the cell's row of cell_sums in place, so a run that finishes the
-    search leaves cell_sums all 0.
+    internal and the node's cut children fit the node budget, the lists of
+    their child bounds from one stacked call, in the same order; descending
+    into child i gives it list i as its bounds, and leaving a node drops
+    its bounds. A child whose list holds no bound above the threshold is
+    not entered: the run counts it and its children in place, as entering
+    it would, unless the node budget ends among them. Descending and
+    returning add and take the machine's weights to and from the cell's
+    row of cell_sums in place, so a run that finishes the search leaves
+    cell_sums all 0.
 
     A run stops on the child it cannot finish - the first leaf that beats
     incumbent_F, or the one a budget stops at - and leaves it under the
     cursor, so the next run starts by visiting it again, at that run's
-    lambda. A run checks its node budget and its deadline before it counts
-    a child, so it stops only on a child it has not counted. A node's cut
-    children are counted in one step when the search enters it, unless
-    they are more than the budget has left: then they go first in its list
-    of children to visit, and the cursor counts them one at a time as it
-    counts any child whose bound cannot beat the threshold, in this run
-    and the next; a child cut at one lambda stays cut at any later run's
-    (see the module docstring). So a run under a budget of n nodes counts
-    at most n and moves the search that far on, runs chopped by budgets
-    count what one run would, and one whose budget equals the nodes left
-    to visit finishes. A leaf that stopped a run is counted again when the
-    next run visits it. The stored lists hold the last run's lambda, so a
-    resumed run drops them and re-bounds the nodes on the stack one call
-    each; a node's cut children put first in its list never meet those
-    lists, because the run that puts them there stops among them.
+    lambda. Before it counts a child, a run tests its node count against
+    the next count at which it looks at its budgets: the node budget, or
+    1024 counted nodes after the last look, whichever comes first. There
+    it stops if the node budget is spent or the deadline has passed, so
+    it stops only on a child it has not counted, and it polls the clock
+    every 1024 counted nodes. A node's cut children are counted in one
+    step when the search enters it, unless they are more than the budget
+    has left: then the node makes no stacked call, and they go first in
+    its list of children to visit, for the cursor to count one at a time
+    as it counts any child whose bound cannot beat the threshold, in this
+    run and the next; a child cut at one lambda stays cut at any later
+    run's (see the module docstring). So a run under a budget of n nodes
+    counts at most n and moves the search that far on, runs chopped by
+    budgets count what one run would, and one whose budget equals the
+    nodes left to visit finishes. A leaf that stopped a run is counted
+    again when the next run visits it. The stored lists hold the last
+    run's lambda, so a resumed run drops them and re-bounds the nodes on
+    the stack one call each.
     """
 
     def __init__(self, inst: Instance, regime: Regime):
@@ -408,8 +414,10 @@ class Tree:
         if resuming:
             self._resume()
 
-        deadline = (time.monotonic() + time_limit
-                    if time_limit is not None else None)
+        # both budgets as numbers, math.inf for none
+        limit = math.inf if node_limit is None else node_limit
+        deadline = (math.inf if time_limit is None
+                    else time.monotonic() + time_limit)
         m, order = self.inst.m, self.order
         wo, offset, const = self.wo, self.offset, self.const
         c_max, no_res = self.c_max, self.no_res
@@ -428,7 +436,7 @@ class Tree:
         nodes = leaves = pruned_bound = max_depth = entered = 0
         truncated = False
         d = self.d
-        tick = 0
+        check = min(limit, 1024)  # the node count of the next budget test
 
         while d >= 0:
             k = opened[d]
@@ -442,32 +450,30 @@ class Tree:
                                                  offset[d])
                 todo = [c for c in range(n) if b[c] > best_F]
                 todo.sort(key=b.__getitem__, reverse=True)
-                # two or more internal children: bound all of their children
-                # in one call, child i's slab holding the machine in cell
-                # todo[i]. A child that opens no cell gets one zero row more
-                # than it has children, whose bound repeats that of its new
-                # cell, as best_others clips at 0
-                if len(todo) > 1 and d + 1 < m:
-                    rows = span[k + 1]
-                    grand[d] = child_bounds(
-                        cell_sums[:rows] + unit[todo, :rows] * wo[d],
-                        wo[d + 1], offset[d + 1])
+                cut = n - len(todo)
+                grand[d] = None
+                if nodes + cut > limit:
+                    # more than the budget has left: they go first, for the
+                    # cursor to count one at a time, this run and the next
+                    todo[:0] = [c for c in range(n) if b[c] <= best_F]
                 else:
-                    grand[d] = None
+                    nodes += cut  # counted in one step, never walked
+                    pruned_bound += cut
+                    # two or more internal children: bound all of their
+                    # children in one call, child i's slab holding the
+                    # machine in cell todo[i]. A child that opens no cell
+                    # gets one zero row more than it has children, whose
+                    # bound repeats that of its new cell, as best_others
+                    # clips at 0
+                    if len(todo) > 1 and d + 1 < m:
+                        rows = span[k + 1]
+                        grand[d] = child_bounds(
+                            cell_sums[:rows] + unit[todo, :rows] * wo[d],
+                            wo[d + 1], offset[d + 1])
+                if cut and d + 1 > max_depth:
+                    max_depth = d + 1
                 kids[d] = todo
                 cursor[d] = 0
-                cut = n - len(todo)
-                if cut:
-                    if node_limit is not None and nodes + cut > node_limit:
-                        # more than the budget has left: they go first, for
-                        # the cursor to count one at a time, this run and
-                        # the next
-                        todo[:0] = [c for c in range(n) if b[c] <= best_F]
-                    else:  # counted in one step, never walked
-                        nodes += cut
-                        pruned_bound += cut
-                    if d + 1 > max_depth:
-                        max_depth = d + 1
             i = cursor[d]
             if i == len(todo):
                 kids[d] = bounds[d] = None
@@ -478,15 +484,11 @@ class Tree:
             c = todo[i]
             kc = k + 1 if c == k else k
 
-            if node_limit is not None and nodes >= node_limit:
-                truncated = True
-                break
-            tick += 1
-            if deadline is not None and tick >= 1024:
-                tick = 0
-                if time.monotonic() > deadline:
+            if nodes >= check:  # at the node budget, or time to poll the clock
+                if nodes >= limit or time.monotonic() > deadline:
                     truncated = True
                     break
+                check = min(limit, nodes + 1024)
             depth = d + 1
             nodes += 1
             if depth > max_depth:
@@ -504,8 +506,7 @@ class Tree:
                 nk = span[kc]
                 # none beats best_F: count them as the child's entry would,
                 # unless the budget ends inside them, and never enter it
-                if max(g) <= best_F and (node_limit is None
-                                         or nodes + nk <= node_limit):
+                if max(g) <= best_F and nodes + nk <= limit:
                     nodes += nk
                     pruned_bound += nk
                     if depth + 1 > max_depth:

@@ -181,7 +181,7 @@ def solve(
 
     incumbent: Solution | None = None
     if seed_solution is not None:
-        incumbent = canonicalize(seed_solution.copy())
+        incumbent = canonicalize(seed_solution)
         feasible, violations = check_feasible(inst, incumbent, regime)
         if not feasible:
             raise ValueError("infeasible seed_solution: "
@@ -221,7 +221,8 @@ def solve(
             # the climb's result is never worse than the round's grouping
             incumbent = canonicalize(climb(inst, res.solution.machine_cell,
                                            regime, deadline))
-            polished = raw_ratio(inst, incumbent)
+            polished = efficacy_ratio(inst.n1, incumbent.n1_in,
+                                      incumbent.n0_in)
             polish_ms = int(round((time.monotonic() - polish_t0) * 1000))
         rec = IterationRecord(rounds, lam, F, st.nodes, st.entered,
                               int(round(it_s * 1000)), st.leaves,
@@ -256,7 +257,6 @@ def solve(
 
     if incumbent is None:
         incumbent = trivial_solution(inst)
-    efficacy(inst, incumbent)
     return SolveOutcome(
         status=status,
         solution=incumbent,

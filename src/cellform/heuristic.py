@@ -63,8 +63,8 @@ Determinism: the same rng_seed gives the same answer as long as the time
 budget does not cut a run short. The budget is polled once before all
 relocations are scored, once before all merges, before each cell's
 splits and before every `fit_parts` call, so a climb overruns it by about
-one of either; the tree polls it every 1024 nodes and does not start
-once it has passed.
+one of either; the tree polls it every 1024 counted nodes and does not
+start once it has passed.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ from .bnb import (Tree, best_others, child_bounds, label_cap, make_weights,
                   optimal_parts)
 from .instances import Instance
 from .rational import Ratio
-from .solutions import (Regime, Solution, canonicalize, efficacy,
-                        efficacy_ratio, renumber)
+from .solutions import (Regime, Solution, canonicalize, efficacy_ratio,
+                        renumber)
 
 log = logging.getLogger(__name__)
 
@@ -333,6 +333,5 @@ def heuristic_solve(inst: Instance, cfg: SearchConfig) -> Solution:
              "certified=%s", climbs, cfg.restarts, used, scored,
              "yes" if certified else "no")
     best = canonicalize(best)
-    efficacy(inst, best)
     best.tree = tree
     return best

@@ -62,7 +62,6 @@ class Instance:
 
 @dataclass
 class ValidationReport:
-    ok: bool
     m: int
     p: int
     n1: int
@@ -160,7 +159,6 @@ def validate_instance(inst: Instance) -> ValidationReport:
     if inst.n1 == 0:
         warnings.append("matrix is all zeros; every grouping has efficacy 0")
     return ValidationReport(
-        ok=True,
         m=inst.m,
         p=inst.p,
         n1=inst.n1,

@@ -25,14 +25,12 @@ from .instances import Instance
 from .rational import Ratio
 from .solutions import Regime, Solution, canonicalize, efficacy
 
-SENSE_GE = ">="
-
 
 @dataclass(frozen=True)
 class ModelRow:
+    """One row: the sum of coefficient * variable over coeffs >= rhs."""
     coeffs: tuple[tuple[str, int], ...]
     rhs: int
-    sense: str = SENSE_GE
 
 
 @dataclass(frozen=True)
@@ -41,7 +39,6 @@ class LinearModel:
     objective: dict[str, int]   # zero-coefficient variables omitted
     constant: int
     rows: tuple[ModelRow, ...]
-    sense: str = "maximize"
 
 
 @dataclass
@@ -105,8 +102,6 @@ def build_model(inst: Instance, lam: Ratio, regime: Regime) -> LinearModel:
 def _term_list(coeffs) -> list[str]:
     parts: list[str] = []
     for name, c in coeffs:
-        if c == 0:
-            continue
         mag = abs(c)
         body = name if mag == 1 else f"{mag} {name}"
         if not parts:
@@ -142,7 +137,7 @@ def export_lp(model: LinearModel) -> str:
     out.extend(_fold(" obj: ", units))
     out.append("Subject To")
     for row in model.rows:
-        out.extend(_fold(" ", _term_list(row.coeffs) + [f"{row.sense} {row.rhs}"]))
+        out.extend(_fold(" ", _term_list(row.coeffs) + [f">= {row.rhs}"]))
     out.append("Binary")
     for name in model.var_names:
         out.append(f" {name}")
@@ -227,7 +222,7 @@ def objective_value(model: LinearModel, assign: RelationAssignment) -> int:
 
 
 def violated_rows(model: LinearModel, assign: RelationAssignment) -> list[int]:
-    """Indices of rows the 0-1 point fails (all rows have sense >=)."""
+    """Indices of rows the 0-1 point fails (every row is a >= row)."""
     bad = []
     for idx, row in enumerate(model.rows):
         lhs = sum(c * _value(assign, name) for name, c in row.coeffs)

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .instances import FormatError, Instance
 from .rational import Ratio
 
@@ -57,16 +59,10 @@ class Solution:
 
 def efficacy_counts(inst: Instance, machine_cell, part_cell) -> tuple[int, int]:
     """(n1_in, n0_in) for a labeling, counting only nonzero matching labels."""
-    ones = 0
-    pairs = 0
-    for j, cj in enumerate(part_cell):
-        if cj == 0:
-            continue
-        for i, ci in enumerate(machine_cell):
-            if ci == cj:
-                pairs += 1
-                ones += inst.a[i][j]
-    return ones, pairs - ones
+    machine_cell, part_cell = np.asarray(machine_cell), np.asarray(part_cell)
+    inside = (machine_cell[:, None] == part_cell) & (part_cell > 0)
+    ones = int(inst.matrix[inside].sum())
+    return ones, int(inside.sum()) - ones
 
 
 def efficacy_ratio(n1: int, n1_in: int, n0_in: int) -> Ratio:

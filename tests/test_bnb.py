@@ -220,7 +220,7 @@ def test_node_bound_admissible_on_random_nodes():
     rng = random.Random(41)
     checked = chained = 0
     while checked < 1000:
-        m = rng.randrange(2, 9)
+        m = rng.randrange(2, _TAIL_EXACT + 3)
         p = rng.randrange(2, 8)
         inst = random_instance(rng, m, p, rng.choice((0.2, 0.5, 0.8)))
         lam = rng.choice(LAMBDAS)
@@ -229,7 +229,7 @@ def test_node_bound_admissible_on_random_nodes():
         c_max = min(m, p + 1)
         prefix = random_prefix(rng, m, c_max)
         bound = bound_at(w, const, prefix, c_max)
-        chained += max(len(prefix), 1) < m - 6  # above the exact tail
+        chained += max(len(prefix), 1) < m - _TAIL_EXACT  # above the tail
         # every no-residual leaf is an allow-residual leaf of the same F, so
         # the allow-residual best covers it; its slow scan runs at m <= 6
         for no_res in (False, True) if m <= 6 else (False,):
@@ -827,6 +827,18 @@ def test_budgets_truncate(ref_instance, engine):
                            node_limit=3)
     assert res.truncated
     assert res.stats.nodes == 3  # a truncated run counts its whole budget
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_the_clock_is_polled_every_1024_counted_nodes(regime):
+    # a run polls its deadline once 1024 nodes are counted since its start,
+    # whatever share of them its nodes' entries cut in one step; a step
+    # between two polls counts at most one child and its children
+    inst, _ = planted_instance(1, 16, 24, 5, .6, .15)
+    res = solve_subproblem(inst, Ratio(1, 2), regime, incumbent_F=0,
+                           time_limit=0)
+    assert res.truncated
+    assert res.stats.nodes <= 1024 + label_cap(inst, regime)
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -99,7 +99,6 @@ def test_load_uses_stem_as_fallback_name(tmp_path):
 def test_validation_flags_empty_rows_and_columns():
     inst = parse_instance("3 3\n1 0 0\n0 0 0\n1 0 1\n")
     rep = validate_instance(inst)
-    assert rep.ok
     assert rep.zero_rows == [2]
     assert rep.zero_cols == [2]
     assert any("machine 2" in w for w in rep.warnings)
@@ -110,6 +109,6 @@ def test_validation_flags_empty_rows_and_columns():
 
 def test_validation_clean_matrix_has_no_warnings(ref_instance):
     rep = validate_instance(ref_instance)
-    assert rep.ok and not rep.warnings
+    assert not rep.warnings
     assert rep.n1 == 20
     assert str(rep.density) == "20/35"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 
 from cellform.dinkelbach import SolveStatus, raw_ratio, solve
 from cellform.heuristic import SearchConfig, heuristic_solve
-from cellform.instances import Instance
+from cellform.instances import Instance, load_instance
 from cellform.model import (
     DecodeError,
     RelationAssignment,
@@ -23,6 +24,8 @@ from cellform.rational import Ratio
 from cellform.solutions import Regime, Solution, canonicalize, efficacy
 
 from helpers import planted_instance, random_instance
+
+A2 = Path(__file__).resolve().parents[1] / "data" / "testset_a" / "A2.cfp"
 
 
 def rand_feasible(rng, inst, regime):
@@ -48,7 +51,6 @@ def test_counts_and_constant(ref_instance):
     assert len(model.var_names) == 45       # 10 x + 35 y
     assert len(model.rows) == 222           # 3*7*10 triples + 5 + 7 covers
     assert model.constant == -300           # -p_num * n1
-    assert model.sense == "maximize"
 
     loose = build_model(ref_instance, Ratio(15, 24), Regime.ALLOW_RESIDUAL)
     assert len(loose.var_names) == 45
@@ -99,7 +101,7 @@ def test_triple_rows_per_pair(ref_instance):
     model = build_model(ref_instance, Ratio(15, 24), Regime.NO_RESIDUAL)
     first = model.rows[0]
     assert first.coeffs == (("x_1_2", 2), ("y_1_1", -1), ("y_2_1", -1))
-    assert first.rhs == -1 and first.sense == ">="
+    assert first.rhs == -1
     second = model.rows[1]
     assert second.coeffs == (("y_1_1", 1), ("y_2_1", -1), ("x_1_2", -1))
     third = model.rows[2]
@@ -146,6 +148,19 @@ def test_export_lp_terms_never_split(ref_instance):
     for line in export_lp(model).splitlines():
         # a coefficient may not end a line with its variable on the next
         assert not line.rstrip().endswith((" 2", " -", " +"))
+
+
+@pytest.mark.parametrize("regime, digest, size", [
+    (Regime.NO_RESIDUAL, "08b62cc306c1841b", 7614),
+    (Regime.ALLOW_RESIDUAL, "ad9c4e3a1647abea", 7006),
+])
+def test_export_lp_bytes_are_pinned(regime, digest, size):
+    # the LP file of A2 at 15/24, byte for byte: the objective sense and
+    # the row sense are written by export_lp itself, not read from the model
+    inst = load_instance(A2)
+    text = export_lp(build_model(inst, Ratio(15, 24), regime)).encode()
+    assert len(text) == size
+    assert hashlib.sha256(text).hexdigest()[:16] == digest
 
 
 # ---------------------------------------------------------------- encode
