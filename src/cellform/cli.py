@@ -53,7 +53,8 @@ def _heuristic_cfg(args, regime: Regime) -> SearchConfig:
     return SearchConfig(regime=regime, restarts=args.restarts,
                         time_budget=seed_budget(args.time_limit,
                                                 args.heuristic_time),
-                        rng_seed=args.seed)
+                        rng_seed=args.seed,
+                        node_limit=args.node_limit)
 
 
 def cmd_validate(args) -> int:
@@ -157,9 +158,12 @@ def cmd_solve(args) -> int:
     seed_solution = None
     seed_lambda = None
     seed_ms = 0
+    node_limit = args.node_limit  # the seed's tree counts against it too
     if args.seed_lambda == "heuristic":
         seed_solution = heuristic_solve(inst, _heuristic_cfg(args, regime))
         seed_ms = int(round((time.monotonic() - t0) * 1000))
+        if node_limit is not None:
+            node_limit -= seed_solution.tree_nodes
     elif args.seed_lambda == "zero":
         seed_lambda = Ratio(0, 1)
     else:
@@ -175,7 +179,7 @@ def cmd_solve(args) -> int:
         inst, regime, seed_lambda=seed_lambda, seed_solution=seed_solution,
         subsolver=subsolver,
         time_limit=remaining(args.time_limit, t0),
-        node_limit=args.node_limit)
+        node_limit=node_limit)
 
     out_path.write_text(write_solution(out.solution))
     print(f"wrote {out_path}", file=sys.stderr)
@@ -261,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-limit", type=seconds, default=None, metavar="SEC",
                    help="total budget, heuristic seed included")
     p.add_argument("--node-limit", type=count, default=None, metavar="N",
-                   help="node budget of the exact rounds together; the "
-                        "heuristic seed's own search is not counted")
+                   help="node budget of the heuristic seed's search and "
+                        "the exact rounds together")
     p.add_argument("--backend", choices=("internal", "lp-export"),
                    default="internal",
                    help="lp-export writes one .lp per iteration and waits "

@@ -1,7 +1,7 @@
-"""Multi-start local search over machine partitions, used to seed the
-parametric solver with a good starting ratio, that stops once the
-branch-and-bound certifies its best grouping; its climb also polishes the
-grouping each improving round of that solver returns.
+"""The heuristic seed of the parametric solver: its one branch-and-bound
+tree picks where each local-search climb starts, and random restarts run
+only when that tree stalls. The climb also polishes the grouping each
+improving round of the solver returns.
 
 Part placement is kept optimal for the machine grouping at hand (the
 part side separates once machines are fixed), so the neighborhood
@@ -32,39 +32,46 @@ that the search's bound uses too. The neighbours that pass are fitted by
 Dropped neighbours cannot win, so the climb accepts the same groupings as
 one that fits every neighbour.
 
-The certificate: after every climb but the last, one `bnb.Tree` of the
-call resumes at lam = the best efficacy so far with incumbent_F = 0. A
-run that completes without a grouping proves that no grouping has F > 0
-at lam, that is, none beats the incumbent. A later climb could then only
-tie it, and ties keep the first, so the restarts stop with the result
-that running them all would give, part labels included. A run that stops
-on a better grouping does not take it, so the result stays that of the
-climbs; resumed at the same lam, the tree stops on that grouping again
-after one node. The climbs buy the tree's nodes: after j climbs its
-budget is the relocation rows that all restarts would score at the mean
-of those j - scored * restarts // j, where scored counts m*(k+1) rows for
-each grouping whose neighbours the climbs scored - minus the nodes it has
-used, so one scored neighbour buys one bounded child, with no constant
-and no option. A tree that can certify after one climb thus gets the
-nodes that the restarts it saves would buy, without running them. A run
-stopped by that budget resumes where it stopped, at the next run's lam.
-A call whose tree never certifies runs every restart, as it would
-without the tree, and takes about twice as long as its climbs: on 24
-planted 16x24/k5 and 24x40/k7 instances at 8 restarts the climbs took
-1.47 of 2.90 s (1.98x, the fastest of three runs on 2 CPUs), with
-1 662 556 tree nodes against 1 479 880 scored rows. The budget caps the
-tree's nodes, not its time. Those nodes are not lost: the returned seed
-carries the tree as Solution.tree, and dinkelbach.solve resumes it in its
-first round, so a certified seed costs the solve no node (a finished
-tree returns at once) and an uncertified one is searched on from where
-its budget stopped.
+The seed runs the solver's Dinkelbach-with-polish loop on one bnb.Tree of
+its own. Its first run starts at lam = the efficacy of the one-cell
+grouping with incumbent_F = 0. A run that stops on a grouping with F > 0
+at lam hands it to a climb, whose result beats lam strictly (the climb
+starts by placing the grouping's parts optimally), and the tree resumes
+at that result's efficacy. The first such grouping only picks the first
+start: the tree that dived to it is replaced by a fresh one, because the
+sibling order that dive leaves on the stack, sorted by the bounds at the
+one-cell ratio, made the resumed search enter 8-10 % more nodes for the
+same count on the first 24 capped-hard instances. A run that completes
+without a grouping proves that none beats the incumbent, so the seed is
+optimal and the call stops. A run that stops on its node budget without a
+grouping stalls the tree; only then does the call draw a random start and
+climb from it, up to cfg.restarts times.
+
+The budget: the tree may count cfg.restarts * m**2 * cap nodes in all,
+cap being the regime's label cap, or cfg.node_limit nodes if that is
+lower. That is one node per relocation that the restarts could score,
+priced before any climb: a grouping has at most m*cap relocations, one
+per machine and other or new cell, and each climb is charged m groupings.
+Random climbs on the benchmark rows (10x15 to 24x40) pass through 1.1 to
+1.9 groupings per machine, at fewer cells than cap. So a proof that costs
+no more than the restarts would finishes before the first random
+restart: on the seed-0 seeded-clean pool the largest takes 16 256 nodes,
+against 21 952 on its 14x21 row. Once the budget is spent every restart
+runs, so a seed that never certifies gives at least the multi-start
+answer, and its tree has counted about one node per relocation row its
+random climbs score. Nothing is tuned, and no option sets the rule. The nodes
+are not lost: the returned seed carries the tree as Solution.tree and the
+nodes counted as Solution.tree_nodes, and dinkelbach.solve resumes the
+tree in its first round, so a certified seed costs the solve no node (a
+finished tree returns at once) and an uncertified one is searched on from
+where its budget stopped.
 
 Determinism: the same rng_seed gives the same answer as long as the time
 budget does not cut a run short. The budget is polled once before all
 relocations are scored, once before all merges, before each cell's
 splits and before every `fit_parts` call, so a climb overruns it by about
-one of either; the tree polls it every 1024 counted nodes and does not
-start once it has passed.
+one of either; the tree polls it every 1024 counted nodes, and no tree
+run or climb starts once it has passed.
 """
 
 from __future__ import annotations
@@ -94,10 +101,13 @@ class SearchConfig:
     restarts: int = 8
     time_budget: float | None = None
     rng_seed: int = 0
+    node_limit: int | None = None  # most nodes the seed's tree may count
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.node_limit is not None and self.node_limit < 0:
+            raise ValueError("node_limit must be >= 0")
 
 
 def fit_parts(inst: Instance, machine_cell: list[int], regime: Regime,
@@ -283,55 +293,63 @@ def _random_machine_cells(m: int, k: int, rng: random.Random) -> list[int]:
 
 
 def heuristic_solve(inst: Instance, cfg: SearchConfig) -> Solution:
-    """Best feasible grouping found across cfg.restarts climbs, the first
-    of equal efficacy.
+    """Best feasible grouping found by climbs from the groupings the seed's
+    bnb.Tree returns and, once that tree stalls, from up to cfg.restarts
+    random groupings; the first of equal efficacy, the one-cell grouping
+    first of all.
 
-    After every climb but the last, one bnb.Tree of this call resumes at
-    the best efficacy so far with incumbent_F = 0, on a node budget of the
-    relocation rows that all cfg.restarts climbs would score at the mean
-    of the climbs so far, minus the nodes the tree has used, as long as
-    that is positive. A run that completes without a grouping certifies
-    that no grouping beats the incumbent, so the restarts stop: the later
-    ones could only tie, and ties keep the first, so the result is the one
-    all restarts give. The budget is 1:1 with the neighbours that all the
-    restarts would score, so a call that never certifies takes about twice
-    as long as its climbs (see the module docstring). The result carries
-    the tree as its tree field, for dinkelbach.solve to resume.
-    Logs one INFO line: the climbs run out of cfg.restarts, the tree's
-    nodes, the scored rows and whether the seed was certified."""
+    The tree runs at the best efficacy so far with incumbent_F = 0, on a
+    node budget of cfg.restarts * m**2 * cap in all, or cfg.node_limit if
+    lower (see the module docstring). A grouping it returns is where the
+    next climb starts, and the first one also replaces the tree by a
+    fresh one; a run that completes proves the seed optimal and ends the
+    call; a run its budget stops without a grouping stalls the tree, and
+    the restarts then climb from random groupings. The result carries the
+    tree as its tree field, for dinkelbach.solve to resume, and the nodes
+    counted against the budget as tree_nodes.
+    Logs one INFO line: the climbs from tree groupings, the random climbs
+    run out of cfg.restarts, the tree's nodes out of its budget, the
+    relocation rows the climbs scored and whether the seed was
+    certified."""
     regime = cfg.regime
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget is not None else None
     rng = random.Random(cfg.rng_seed)
-    kmax = min(inst.m, inst.p)
-    best: Solution | None = None
+    budget = cfg.restarts * inst.m ** 2 * label_cap(inst, regime)
+    if cfg.node_limit is not None:
+        budget = min(budget, cfg.node_limit)
     tree = Tree(inst, regime)
+    best = fit_parts(inst, [1] * inst.m, regime)
     path: list[int] = []  # cell counts of the groupings the climbs scored
-    scored = used = climbs = 0  # relocation rows scored, tree nodes, climbs
+    used = from_tree = randoms = 0  # tree nodes, climbs by their start
     certified = False
-    for _ in range(cfg.restarts):
-        if _past(deadline) and best is not None:
-            break
-        k = rng.randint(1, kmax)
-        cells = _random_machine_cells(inst.m, k, rng)
-        sol = climb(inst, cells, regime, deadline, path)
-        climbs += 1
-        if best is None or sol.efficacy > best.efficacy:
-            best = sol
-        scored = inst.m * (sum(path) + len(path))  # m*(k+1) per grouping
-        # the rows all restarts would score, at the mean of the climbs so far
-        budget = scored * cfg.restarts // climbs
-        if climbs == cfg.restarts or budget <= used or _past(deadline):
-            continue
-        res = tree.run(best.efficacy, 0,
-                       None if deadline is None else deadline - time.monotonic(),
-                       budget - used)
-        used += res.stats.nodes
-        if res.solution is None and not res.truncated:
+    while not _past(deadline):
+        res = None
+        if used < budget:
+            res = tree.run(best.efficacy, 0,
+                           None if deadline is None else deadline - time.monotonic(),
+                           budget - used)
+            used += res.stats.nodes
+        if res is not None and res.solution is not None:
+            cells = res.solution.machine_cell
+            if not from_tree:  # the dive from the one-cell efficacy is dropped
+                tree = Tree(inst, regime)
+            from_tree += 1
+        elif res is not None and not res.truncated:
             certified = True
             break
-    log.info("heuristic climbs=%d/%d tree_nodes=%d scored_rows=%d "
-             "certified=%s", climbs, cfg.restarts, used, scored,
+        elif randoms < cfg.restarts and not _past(deadline):
+            k = rng.randint(1, min(inst.m, inst.p))
+            cells = _random_machine_cells(inst.m, k, rng)
+            randoms += 1
+        else:
+            break
+        sol = climb(inst, cells, regime, deadline, path)
+        if sol.efficacy > best.efficacy:
+            best = sol
+    log.info("heuristic tree_climbs=%d random_climbs=%d/%d tree_nodes=%d/%d "
+             "scored_rows=%d certified=%s", from_tree, randoms, cfg.restarts,
+             used, budget, inst.m * (sum(path) + len(path)),
              "yes" if certified else "no")
     best = canonicalize(best)
-    best.tree = tree
+    best.tree, best.tree_nodes = tree, used
     return best

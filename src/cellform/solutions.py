@@ -37,10 +37,11 @@ class Regime(Enum):
 @dataclass
 class Solution:
     """A grouping and its efficacy counts. tree, set only on the seed that
-    heuristic_solve returns, is the bnb.Tree that tried to certify it;
-    dinkelbach.solve resumes it instead of proving the seed again. It is
-    not part of the grouping: ==, repr, copy(), canonicalize and the .sol
-    file all ignore it."""
+    heuristic_solve returns, is the bnb.Tree that searched for it, and
+    tree_nodes the nodes that tree counted; dinkelbach.solve resumes the
+    tree instead of proving the seed again. Neither is part of the
+    grouping: ==, repr, copy(), canonicalize and the .sol file all ignore
+    them."""
 
     c: int
     machine_cell: list[int]  # length m, values in 0..c (0 = residual machine)
@@ -49,6 +50,7 @@ class Solution:
     n0_in: int = 0
     efficacy: Ratio = field(default_factory=lambda: Ratio(0, 1))
     tree: Tree | None = field(default=None, repr=False, compare=False)
+    tree_nodes: int = field(default=0, repr=False, compare=False)
 
     def copy(self) -> "Solution":
         return Solution(

@@ -249,28 +249,38 @@ def unscreened_moves(inst, machine_cell, cap):
             yield batch
 
 
-def unscreened_heuristic_solve(inst, regime, restarts, rng_seed):
-    """heuristic_solve without a time budget and without the screen: the
-    climb fits every neighbour at the current efficacy."""
+def unscreened_climb(inst, machine_cell, regime):
+    """climb without a deadline and without the screen: it fits every
+    neighbour at the current efficacy."""
     cap = label_cap(inst, regime)
+    sol = fit_parts(inst, machine_cell, regime)
+    improved = True
+    while improved:
+        improved = False
+        for batch in unscreened_moves(inst, sol.machine_cell, cap):
+            top = sol
+            for cells in batch:
+                cand = fit_parts(inst, renumber(cells), regime, sol.efficacy)
+                if cand.efficacy > top.efficacy:
+                    top = cand
+            if top is not sol:
+                sol, improved = top, True
+                break
+    return sol
+
+
+def unscreened_heuristic_solve(inst, regime, restarts, rng_seed):
+    """heuristic_solve with a tree that never returns a grouping, without a
+    time budget and without the screen: the best of the one-cell grouping
+    and the unscreened climbs from restarts random groupings, the first of
+    equal efficacy."""
     rng = random.Random(rng_seed)
-    best = None
+    best = fit_parts(inst, [1] * inst.m, regime)
     for _ in range(restarts):
         k = rng.randint(1, min(inst.m, inst.p))
-        sol = fit_parts(inst, _random_machine_cells(inst.m, k, rng), regime)
-        improved = True
-        while improved:
-            improved = False
-            for batch in unscreened_moves(inst, sol.machine_cell, cap):
-                top = sol
-                for cells in batch:
-                    cand = fit_parts(inst, renumber(cells), regime, sol.efficacy)
-                    if cand.efficacy > top.efficacy:
-                        top = cand
-                if top is not sol:
-                    sol, improved = top, True
-                    break
-        if best is None or sol.efficacy > best.efficacy:
+        sol = unscreened_climb(inst, _random_machine_cells(inst.m, k, rng),
+                               regime)
+        if sol.efficacy > best.efficacy:
             best = sol
     best = canonicalize(best)
     efficacy(inst, best)

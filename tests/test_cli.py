@@ -121,17 +121,19 @@ def test_solve_verbose_logs_iterations(inst_file, caplog, capsys):
 
 
 def test_solve_verbose_logs_one_heuristic_line(inst_file, caplog, capsys):
-    # -v logs one line per heuristic_solve call: the climbs run out of the
-    # restarts, the certificate tree's nodes, the relocation rows that
-    # bought them and whether the tree certified the seed. The report on
-    # stdout is the one a run without -v prints, up to its timings
+    # -v logs one line per heuristic_solve call: the climbs from the seed
+    # tree's groupings, the random climbs run out of the restarts, the
+    # tree's nodes out of its budget, the relocation rows the climbs scored
+    # and whether the tree certified the seed. The report on stdout is the
+    # one a run without -v prints, up to its timings
     with caplog.at_level(logging.INFO, logger="cellform.heuristic"):
         assert main(["-v", "solve", str(inst_file)]) == 0
     msgs = [r.getMessage() for r in caplog.records
             if r.name == "cellform.heuristic"]
     assert len(msgs) == 1
-    assert re.fullmatch(r"heuristic climbs=1/8 tree_nodes=\d+ "
-                        r"scored_rows=\d+ certified=yes", msgs[0]), msgs
+    assert re.fullmatch(r"heuristic tree_climbs=\d+ random_climbs=0/8 "
+                        r"tree_nodes=\d+/\d+ scored_rows=\d+ certified=yes",
+                        msgs[0]), msgs
     verbose = capsys.readouterr().out
     assert main(["solve", str(inst_file)]) == 0
     plain = capsys.readouterr().out
@@ -228,6 +230,29 @@ def test_solve_time_limit_covers_the_seed(big_file, capsys):
     inst = load_instance(big_file)
     sol = parse_solution(big_file.with_suffix(".sol").read_text(), inst)
     assert check_feasible(inst, sol, Regime.NO_RESIDUAL)[0]
+
+
+def test_node_limit_covers_the_seed(tmp_path, caplog, capsys):
+    # planted 24x40/k7 (generator seed 0): the seed's tree spends its nodes
+    # out of --node-limit, up to its own budget of 8 * 24**2 * 24 = 110 592,
+    # and the exact rounds get what it left, so the two together stay within
+    # the limit; a seed whose tree stalls still runs every restart
+    inst, _ = planted_instance(0, 24, 40, 7, .75, .08)
+    f = tmp_path / "big0.cfp"
+    f.write_text(write_instance(inst))
+    for limit, seed_nodes in ((1000, 1000), (150_000, 110_592)):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="cellform.heuristic"):
+            assert main(["-v", "solve", str(f), "--node-limit", str(limit)]
+                        ) == 0
+        [seed] = [r.getMessage() for r in caplog.records
+                  if r.name == "cellform.heuristic"]
+        assert (f"random_climbs=8/8 tree_nodes={seed_nodes}/{seed_nodes} "
+                in seed), seed
+        report = dict(kv.split("=") for kv in capsys.readouterr().out.split()
+                      if "=" in kv)
+        assert report["status"] == "NodeLimit", report
+        assert seed_nodes + int(report["nodes"]) == limit, report
 
 
 def test_bench_time_limit_covers_the_seed(big_file, tmp_path, capsys):

@@ -427,24 +427,27 @@ def test_baseline_row_solve_is_pinned(monkeypatch):
     assert out.nodes == 54370
     assert calls == {"one node": 2324, "stacked": 2047}
     assert sum(rec.entered for rec in out.history) == 6024
-    # the seed itself hands over its tree, which stopped 23 168 nodes into
-    # the search without certifying the seed; the solve counts first the
-    # cut children its budget stopped inside and finishes it, so the two
-    # count the nodes of the proof from the root
+    # the seed itself hands over its tree, which found the optimum after
+    # its 16-node dive from the one-cell grouping's efficacy and, as a fresh
+    # tree at 55/93, stalled on the rest of its budget of
+    # 8 * 16**2 * 16 = 32 768 nodes before it could certify it; the solve
+    # counts first the cut children that budget stopped inside and
+    # finishes it, so the two count the nodes of the proof from the root
+    assert seed.tree_nodes == 32768 and seed.tree.lam == Ratio(55, 93)
     out = solve(inst, regime, seed_solution=seed)
     assert out.status is SolveStatus.OPTIMAL
     assert out.solution.efficacy == Ratio(55, 93)
-    assert out.nodes == 31202 == 54370 - 23168
+    assert out.nodes == 21618 == 54370 - (32768 - 16)
 
 
 # ------------------------------------------------ the seed's tree, handed over
 
 
 def test_a_handed_over_seed_tree_keeps_the_optima():
-    # heuristic seeds of 1-3 restarts hand over a tree that never ran, one
-    # that stopped on its node budget or on a better grouping, or one that
-    # certified the seed; the solve resumes it, runs its last round on it
-    # and proves the oracle's optimum. A second solve from the same seed
+    # heuristic seeds of 1-3 restarts hand over a tree that never ran (a
+    # node limit of 0), one that stopped on a node limit of 1-40, or one
+    # that certified the seed; the solve resumes it, runs its last round on
+    # it and proves the oracle's optimum. A second solve from the same seed
     # finds its tree moved on and still proves the optimum
     rng = random.Random(19)
     kinds = {"never ran": 0, "stopped": 0, "certified": 0}
@@ -455,8 +458,10 @@ def test_a_handed_over_seed_tree_keeps_the_optima():
                                name=f"h{trial}")
         for regime in Regime:
             opt = oracle_solve(inst, regime).efficacy
+            limit = (0, rng.randint(1, 40), None)[trial % 3]
             seed = heuristic_solve(inst, SearchConfig(
-                regime, restarts=rng.randint(1, 3), rng_seed=trial))
+                regime, restarts=rng.randint(1, 3), rng_seed=trial,
+                node_limit=limit))
             tree = seed.tree
             kind = ("never ran" if tree.lam is None
                     else "certified" if tree.d < 0 else "stopped")
@@ -503,12 +508,13 @@ def test_the_solve_builds_a_fresh_tree_unless_the_seed_tree_fits(
 
 
 def test_a_seed_whose_tree_moved_above_it_gets_a_fresh_tree(ref_instance):
-    # one restart leaves 14/23 and a tree that never ran; the solve raises
-    # lambda to the optimum on it, and a tree resumes only at a rising
-    # lambda, so a second solve from 14/23 needs a fresh one
+    # under a node limit of 0 one restart leaves 14/23 and a tree that
+    # never ran; the solve raises lambda to the optimum on it, and a tree
+    # resumes only at a rising lambda, so a second solve from 14/23 needs a
+    # fresh one
     regime = Regime.NO_RESIDUAL
-    seed = heuristic_solve(ref_instance, SearchConfig(regime, restarts=1,
-                                                      rng_seed=1))
+    seed = heuristic_solve(ref_instance, SearchConfig(
+        regime, restarts=1, rng_seed=1, node_limit=0))
     assert seed.efficacy == Ratio(14, 23) and seed.tree.lam is None
     fresh = solve(ref_instance, regime, seed_solution=seed.copy())
     for _ in range(2):

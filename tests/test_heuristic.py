@@ -16,8 +16,8 @@ from cellform.solutions import (Regime, canonicalize, check_feasible,
                                 efficacy, renumber)
 
 from helpers import (pair_counts, part_vectors, planted_instance,
-                     random_instance, split_halves, unscreened_heuristic_solve,
-                     unscreened_moves)
+                     random_instance, split_halves, unscreened_climb,
+                     unscreened_heuristic_solve, unscreened_moves)
 
 
 def frac(r):
@@ -141,24 +141,23 @@ def test_time_budget_still_returns_feasible(ref_instance):
 
 
 # (generator args, regime, canonical machine_cell, efficacy, fit_parts
-# calls, optimal_parts rounds) with rng_seed=0 and 8 restarts; the counts
-# are the machine-independent cost of the climb, so a change to the move
-# order, the acceptance rule, the screen of _moves, the certificate or the
-# parametric loop of fit_parts must update this table knowingly. fit_parts
-# is called only on the neighbours that pass the screen (1204-1898 calls
-# per row without it, with the same groupings), and not in the restarts
-# after the tree has certified the incumbent (58-231 calls per row without
-# the certificate)
+# calls, optimal_parts rounds, seed-tree nodes) with rng_seed=0 and 8
+# restarts; the counts are the machine-independent cost of the seed, so a
+# change to the move order, the acceptance rule, the screen of _moves, the
+# tree's starts and budget or the parametric loop of fit_parts must update
+# this table knowingly. Every row is certified before its first random
+# restart, after one to three climbs from the tree's groupings; fit_parts
+# is called on the one-cell grouping and on the neighbours that pass the
+# screen
 PINNED_RESULTS = [
-    ((1, 8, 10, 3, .7, .15), "no-residual", [1, 1, 2, 3, 4, 1, 4, 5], "2/3", 5, 10),
-    ((1, 8, 10, 3, .7, .15), "allow-residual", [1, 1, 2, 3, 4, 1, 4, 5], "2/3", 5, 11),
-    ((2, 9, 12, 3, .7, .15), "no-residual", [1, 1, 2, 3, 2, 4, 1, 2, 1], "23/35", 9, 15),
-    ((2, 9, 12, 3, .7, .15), "allow-residual", [1, 1, 2, 3, 2, 4, 5, 2, 1], "2/3", 6, 12),
-    ((3, 10, 12, 4, .7, .12), "no-residual", [1, 2, 1, 3, 2, 3, 4, 5, 3, 6], "5/8", 32, 46),
-    ((3, 10, 12, 4, .7, .12), "allow-residual", [1, 2, 1, 3, 2, 3, 4, 5, 3, 6], "20/31", 14, 29),
-    # here the climb takes a split whose batch holds several improving ones
-    ((7, 10, 12, 4, .6, .2), "no-residual", [1, 2, 3, 4, 3, 1, 2, 2, 4, 2], "25/46", 16, 30),
-    ((7, 10, 12, 4, .6, .2), "allow-residual", [1, 2, 3, 4, 3, 1, 2, 2, 4, 2], "25/46", 15, 31),
+    ((1, 8, 10, 3, .7, .15), "no-residual", [1, 1, 2, 3, 4, 1, 4, 5], "2/3", 4, 9, 84),
+    ((1, 8, 10, 3, .7, .15), "allow-residual", [1, 1, 2, 3, 4, 1, 4, 5], "2/3", 4, 10, 84),
+    ((2, 9, 12, 3, .7, .15), "no-residual", [1, 1, 2, 3, 2, 4, 1, 2, 1], "23/35", 8, 14, 260),
+    ((2, 9, 12, 3, .7, .15), "allow-residual", [1, 1, 2, 3, 2, 4, 1, 2, 1], "2/3", 7, 16, 189),
+    ((3, 10, 12, 4, .7, .12), "no-residual", [1, 2, 1, 3, 2, 3, 4, 5, 3, 6], "5/8", 27, 38, 346),
+    ((3, 10, 12, 4, .7, .12), "allow-residual", [1, 2, 1, 3, 2, 3, 4, 5, 3, 6], "20/31", 5, 12, 156),
+    ((7, 10, 12, 4, .6, .2), "no-residual", [1, 2, 3, 4, 3, 1, 2, 2, 4, 2], "25/46", 4, 8, 1971),
+    ((7, 10, 12, 4, .6, .2), "allow-residual", [1, 2, 3, 4, 3, 1, 2, 2, 4, 2], "25/46", 5, 14, 2006),
 ]
 
 
@@ -177,13 +176,15 @@ def test_results_are_pinned(monkeypatch):
 
     monkeypatch.setattr(heuristic, "fit_parts", counted)
     monkeypatch.setattr(heuristic, "optimal_parts", counted_rounds)
-    for gen, regime, machine_cell, eff, want_calls, want_rounds in PINNED_RESULTS:
+    for gen, regime, machine_cell, eff, *counts in PINNED_RESULTS:
         inst, _ = planted_instance(*gen)
         calls = rounds = 0
         sol = heuristic_solve(inst, SearchConfig(regime=Regime(regime),
                                                  restarts=8, rng_seed=0))
-        assert (sol.machine_cell, sol.efficacy, calls, rounds) == (
-            machine_cell, parse_ratio(eff), want_calls, want_rounds), (gen, regime)
+        assert (sol.machine_cell, sol.efficacy, [calls, rounds,
+                                                 sol.tree_nodes]) == (
+            machine_cell, parse_ratio(eff), counts), (gen, regime)
+        assert sol.tree.d < 0, (gen, regime)  # the tree finished: certified
 
 
 def test_screen_never_skips_a_winner():
@@ -239,21 +240,23 @@ def test_large_cell_split_keeps_its_poles():
 
 
 def test_climb_matches_the_unscreened_climb():
-    # the screen only drops neighbours that cannot win, and the certificate
-    # stops the restarts only when a later one could at best tie; so the
-    # answer is the one of climbs without screen or tree, part labels
-    # included
+    # the screen only drops neighbours that cannot win, so from every random
+    # start a restart draws the climb accepts the groupings of one that fits
+    # every neighbour, and ends on the same grouping, part labels included
     for restarts, step in ((2, 1), (8, 2)):
         for n in range(0, 40, step):
             m, p = 6 + n * 6 // 39, 8 + n * 10 // 39
             inst, _ = planted_instance(100 + n, m, p, 2 + n % 3, .75, .1)
             for regime in Regime:
-                got = heuristic_solve(inst, SearchConfig(
-                    regime=regime, restarts=restarts, rng_seed=n))
-                want = unscreened_heuristic_solve(inst, regime, restarts, n)
-                assert (got.machine_cell, got.part_cell, got.efficacy) == (
-                    want.machine_cell, want.part_cell, want.efficacy), (
-                        restarts, n, regime)
+                rng = random.Random(n)
+                for _ in range(restarts):
+                    start = heuristic._random_machine_cells(
+                        m, rng.randint(1, min(m, p)), rng)
+                    got = climb(inst, start, regime, None)
+                    want = unscreened_climb(inst, start, regime)
+                    assert (got.machine_cell, got.part_cell, got.efficacy) == (
+                        want.machine_cell, want.part_cell, want.efficacy), (
+                            n, regime, start)
 
 
 def test_relocations_and_merges_score_as_one_node_each(monkeypatch):
@@ -374,14 +377,27 @@ def test_climb_reports_the_cell_count_of_each_grouping_it_scores(monkeypatch):
 
 
 def _summaries(caplog):
-    # the one line per call: climbs run/restarts, tree nodes, scored rows
-    # and whether the tree certified the seed
+    # the one line per call: climbs from tree groupings, random climbs run
+    # and restarts, tree nodes and budget, scored rows and whether the tree
+    # certified the seed
     return [r.args for r in caplog.records if r.name == "cellform.heuristic"]
+
+
+class Stalled:
+    """A seed tree whose every run stops on its budget without a grouping."""
+
+    def __init__(self, inst, regime):
+        pass
+
+    def run(self, lam, incumbent_F=None, time_limit=None, node_limit=None):
+        return SubproblemResult(incumbent_F, None, True, SubproblemStats())
 
 
 def test_a_certified_seed_is_optimal(caplog):
     # a tree run that completes without a grouping at the seed's efficacy
-    # proves that no grouping beats it, so the seed is the oracle's optimum
+    # proves that no grouping beats it, so the seed is the oracle's optimum;
+    # the tree's budget is restarts * m**2 * cap nodes, so on these
+    # sizes most seeds are proven before the first random restart
     rng = random.Random(61)
     certified = early = 0
     for trial in range(40):
@@ -392,38 +408,33 @@ def test_a_certified_seed_is_optimal(caplog):
             with caplog.at_level(logging.INFO, logger="cellform.heuristic"):
                 sol = heuristic_solve(inst, SearchConfig(
                     regime=regime, restarts=4, rng_seed=trial))
-            [(climbs, restarts, nodes, rows, verdict)] = _summaries(caplog)
-            assert restarts == 4, (inst.a, regime)
+            [(_, randoms, restarts, nodes, budget, _, verdict)] = (
+                _summaries(caplog))
+            where = (inst.a, regime)
+            assert restarts == 4, where
+            assert budget == 4 * inst.m ** 2 * label_cap(inst, regime)
+            assert nodes == sol.tree_nodes <= budget, where
             if verdict == "yes":
-                # the certifying run came after the last climb, on the rows
-                # all restarts would score at the mean of the climbs run
-                assert nodes <= rows * restarts // climbs, (inst.a, regime)
                 certified += 1
-                early += climbs < restarts
+                early += randoms == 0
                 assert sol.efficacy == oracle_solve(inst, regime).efficacy, (
-                    inst.a, regime)
+                    where)
             else:
-                # no budget passed the rows times the restarts
-                assert climbs == restarts and nodes <= rows * restarts, (
-                    inst.a, regime)
+                # only a tree that spent its budget stalls, and then every
+                # restart runs
+                assert randoms == restarts and nodes == budget, where
     assert certified >= 60 and early >= 40, (certified, early)
 
 
-def test_the_certificate_never_changes_the_seed(monkeypatch, caplog):
-    # a tree that never certifies makes every restart run; the real tree
-    # stops them early only when the later ones could at best tie, so the
-    # two give the same seed, part labels included
-    class Uncertain:
-        def __init__(self, inst, regime):
-            pass
-
-        def run(self, lam, incumbent_F=None, time_limit=None,
-                node_limit=None):
-            return SubproblemResult(incumbent_F, None, True,
-                                    SubproblemStats())
-
+def test_the_tree_never_leaves_the_seed_below_the_restarts(monkeypatch,
+                                                           caplog):
+    # a tree that never returns a grouping makes every restart climb from
+    # the random groupings rng_seed draws. The real tree starts climbs of
+    # its own, but it ends the call only on a proof, and once it stalls the
+    # same restarts climb from the same groupings; so the seed is never
+    # worse than with the stalled tree
     rng = random.Random(83)
-    early = 0
+    better = unclimbed = 0
     for trial in range(100):
         if trial % 2:
             inst = random_instance(rng, rng.randrange(2, 9),
@@ -439,51 +450,47 @@ def test_the_certificate_never_changes_the_seed(monkeypatch, caplog):
             caplog.clear()
             with caplog.at_level(logging.INFO, logger="cellform.heuristic"):
                 got = heuristic_solve(inst, cfg)
-            [(climbs, *_)] = _summaries(caplog)
-            early += climbs < cfg.restarts
-            with monkeypatch.context() as patch:
-                patch.setattr(heuristic, "Tree", Uncertain)
-                want = heuristic_solve(inst, cfg)
-            assert (got.machine_cell, got.part_cell, got.efficacy) == (
-                want.machine_cell, want.part_cell, want.efficacy), (
-                    inst.a, regime, cfg.restarts)
-    assert early >= 120, early
+                with monkeypatch.context() as patch:
+                    patch.setattr(heuristic, "Tree", Stalled)
+                    want = heuristic_solve(inst, cfg)
+            [(_, randoms, *_), (from_tree, *stalled)] = _summaries(caplog)
+            assert from_tree == 0 and stalled[0] == cfg.restarts
+            assert got.efficacy >= want.efficacy, (inst.a, regime,
+                                                   cfg.restarts)
+            better += got.efficacy > want.efficacy
+            unclimbed += cfg.restarts - randoms
+    assert better >= 5 and unclimbed >= 700, (better, unclimbed)
 
 
 def test_a_seed_that_cannot_be_certified_runs_every_climb(monkeypatch, caplog):
-    # planted 24x40/k7 is too hard for the nodes its climbs buy: the tree
-    # never certifies, all 8 climbs run and give the answer of the climbs
-    # without screen or tree, and after each climb the tree never takes
-    # more nodes than the relocation rows that all restarts would score at
-    # the mean of the climbs so far, m*(k+1) for each grouping whose
-    # neighbours they scored
+    # planted 24x40/k7 is too hard for the tree's budget of
+    # 8 * 24**2 * 24 nodes: the tree stalls after spending all of it,
+    # never more, all 8 restarts climb, and the seed is at least their
+    # multi-start answer. With a tree that never returns a grouping the
+    # seed is exactly the answer of the climbs without screen or tree
     inst, _ = planted_instance(0, 24, 40, 7, .75, .08)
     regime = Regime.NO_RESIDUAL
-    climbs = rows = nodes = 0
-
-    def spy(inst, cells, regime, deadline, path):
-        nonlocal climbs, rows
-        known = len(path)
-        sol = climb(inst, cells, regime, deadline, path)
-        climbs += 1
-        rows += sum(inst.m * (k + 1) for k in path[known:])
-        return sol
+    budget = 8 * 24 ** 2 * 24
+    nodes = 0
 
     class Counted(Tree):
         def run(self, *args, **kwargs):
             nonlocal nodes
             res = super().run(*args, **kwargs)
             nodes += res.stats.nodes
-            assert nodes <= rows * 8 // climbs
+            assert nodes <= budget
             return res
 
-    monkeypatch.setattr(heuristic, "climb", spy)
+    cfg = SearchConfig(regime=regime, restarts=8, rng_seed=0)
     monkeypatch.setattr(heuristic, "Tree", Counted)
     with caplog.at_level(logging.INFO, logger="cellform.heuristic"):
-        got = heuristic_solve(inst, SearchConfig(regime=regime, restarts=8,
-                                                 rng_seed=0))
+        got = heuristic_solve(inst, cfg)
+    [(from_tree, *summary, _, verdict)] = _summaries(caplog)
+    assert from_tree >= 1 and verdict == "no"
+    assert summary == [8, 8, nodes, budget] and got.tree_nodes == budget
     want = unscreened_heuristic_solve(inst, regime, 8, 0)
+    assert got.efficacy >= want.efficacy
+    monkeypatch.setattr(heuristic, "Tree", Stalled)
+    got = heuristic_solve(inst, cfg)
     assert (got.machine_cell, got.part_cell, got.efficacy) == (
         want.machine_cell, want.part_cell, want.efficacy)
-    assert _summaries(caplog) == [(8, 8, nodes, rows, "no")]
-    assert climbs == 8 and rows < nodes <= rows * 8, (nodes, rows)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -60,23 +61,37 @@ def seed_digest(seeds):
 
 
 def test_every_seeded_clean_op_proves_its_reference_optimum(tmp_path,
-                                                            monkeypatch):
-    # the whole seed-0 seeded-clean pool: every heuristic seed hands its
-    # tree to the solve, and every tree certifies its seed, so the solve
-    # proves all 120 in no node; every op ends Optimal at its reference
-    # optimum in one round. The seeds' groupings are pinned: a certificate
-    # may stop the restarts sooner or later, but never changes a seed
+                                                            monkeypatch,
+                                                            caplog):
+    # the whole seed-0 seeded-clean pool: every heuristic seed's tree proves
+    # the seed at its reference optimum before the first random restart and
+    # hands the finished tree to the solve, which proves all 120 in one
+    # round and no node. The seeds' groupings and their work are pinned as
+    # counts, which do not depend on the machine: the climbs started from
+    # the tree's groupings, the random climbs, the fit_parts calls and the
+    # seed trees' nodes
     import cellform
+    from cellform import heuristic
 
-    heuristic_solve = cellform.heuristic_solve
-    seeds = []
+    heuristic_solve, fit_parts = cellform.heuristic_solve, heuristic.fit_parts
+    seeds, fits = [], []  # per seed: the seed, its fit_parts calls
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return fit_parts(*args, **kwargs)
 
     def recorded(inst, cfg):
+        before = calls
         seeds.append(heuristic_solve(inst, cfg))
+        fits.append(calls - before)
         return seeds[-1]
 
+    monkeypatch.setattr(heuristic, "fit_parts", counted)
     monkeypatch.setattr(cellform, "heuristic_solve", recorded)
-    bench, results = run_ops(tmp_path, monkeypatch, "seeded-clean", 120)
+    with caplog.at_level(logging.INFO, logger="cellform.heuristic"):
+        bench, results = run_ops(tmp_path, monkeypatch, "seeded-clean", 120)
     assert len(bench.ops) == len(bench.references) == 120
     for r in results:
         assert r.status == "Optimal", r
@@ -84,7 +99,15 @@ def test_every_seeded_clean_op_proves_its_reference_optimum(tmp_path,
     assert sum(r.rounds for r in results) == 120
     assert sum(r.nodes for r in results) == 0
     # the last 120 seeds are the ops'; set-up seeds A2 before them
-    assert seed_digest(seeds[-120:]) == "89325b46649ecf37"
+    for i, seed in enumerate(seeds[-120:]):
+        assert seed.efficacy == bench.references[i] and seed.tree.d < 0, i
+    lines = [r.args for r in caplog.records
+             if r.name == "cellform.heuristic"][-120:]
+    assert {line[-1] for line in lines} == {"yes"}
+    assert [sum(line[0] for line in lines), sum(line[1] for line in lines),
+            sum(fits[-120:]), sum(s.tree_nodes for s in seeds[-120:])] == [
+        126, 0, 667, 105_100]
+    assert seed_digest(seeds[-120:]) == "3275a697b75c512b"
 
 
 def outcome_digest(results):
