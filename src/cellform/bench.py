@@ -20,7 +20,7 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dinkelbach import SolveStatus, remaining, seed_budget, solve
+from .dinkelbach import SolveStatus, remaining, solve
 from .heuristic import SearchConfig, heuristic_solve
 from .instances import load_instance
 from .rational import Ratio, parse_ratio
@@ -98,7 +98,9 @@ def _instance_seed(name: str) -> int:
 
 
 def run_entry(entry: ManifestEntry, time_limit: float | None,
-              restarts: int, heuristic_time: float | None) -> BenchRow:
+              restarts: int) -> BenchRow:
+    """One manifest row, solved as `cellform solve` does from a heuristic
+    seed; nodes and time_ms count the seed's tree and time too."""
     try:
         inst = load_instance(entry.path)
     except (OSError, ValueError) as exc:
@@ -108,7 +110,7 @@ def run_entry(entry: ManifestEntry, time_limit: float | None,
     t0 = time.monotonic()
     seed = heuristic_solve(inst, SearchConfig(
         regime=entry.regime, restarts=restarts,
-        time_budget=seed_budget(time_limit, heuristic_time),
+        time_budget=remaining(time_limit, t0),
         rng_seed=_instance_seed(entry.name)))
     out = solve(inst, entry.regime, seed_solution=seed,
                 time_limit=remaining(time_limit, t0))
@@ -117,14 +119,13 @@ def run_entry(entry: ManifestEntry, time_limit: float | None,
     return BenchRow(
         entry.name, inst.m, inst.p, entry.regime.value,
         entry.expected.to_4dp(), achieved.to_4dp(), match,
-        out.status.value, out.iterations, out.nodes,
+        out.status.value, out.iterations, seed.tree_nodes + out.nodes,
         int(round((time.monotonic() - t0) * 1000)))
 
 
-def run_bench(entries, time_limit: float | None = None, restarts: int = 8,
-              heuristic_time: float | None = None) -> list[BenchRow]:
-    return [run_entry(e, time_limit, restarts, heuristic_time)
-            for e in entries]
+def run_bench(entries, time_limit: float | None = None,
+              restarts: int = 8) -> list[BenchRow]:
+    return [run_entry(e, time_limit, restarts) for e in entries]
 
 
 def failed(rows) -> bool:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import bench as benchmod
 from .bnb import SubproblemResult, SubproblemStats
-from .dinkelbach import remaining, seed_budget, solve as dinkelbach_solve
+from .dinkelbach import remaining, solve as dinkelbach_solve
 from .heuristic import SearchConfig, heuristic_solve
 from .instances import FormatError, load_instance, validate_instance
 from .model import (build_model, decode, export_lp, objective_value,
@@ -47,14 +47,6 @@ def seconds(text: str) -> float:
     if not value >= 0:  # also rejects nan
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return value
-
-
-def _heuristic_cfg(args, regime: Regime) -> SearchConfig:
-    return SearchConfig(regime=regime, restarts=args.restarts,
-                        time_budget=seed_budget(args.time_limit,
-                                                args.heuristic_time),
-                        rng_seed=args.seed,
-                        node_limit=args.node_limit)
 
 
 def cmd_validate(args) -> int:
@@ -98,14 +90,14 @@ def cmd_efficacy(args) -> int:
     return 0
 
 
-def _solve_report(inst, out, seed_ms: int) -> str:
-    """time_ms is the exact rounds' wall time, seed_ms the heuristic
-    seed's (0 for a given ratio)."""
+def _solve_report(inst, out, seed_ms: int, seed_nodes: int) -> str:
+    """time_ms and nodes are the exact rounds' wall time and nodes, seed_ms
+    and seed_nodes the heuristic seed's (0 for a given ratio)."""
     sol = out.solution
     raw = efficacy_ratio(inst.n1, sol.n1_in, sol.n0_in)
     return (f"status={out.status.value} efficacy={raw} ({raw.to_4dp()}) "
             f"cells={sol.c} iters={out.iterations} nodes={out.nodes} "
-            f"time_ms={out.time_ms} seed_ms={seed_ms}")
+            f"time_ms={out.time_ms} seed_ms={seed_ms} seed_nodes={seed_nodes}")
 
 
 def _lp_subsolver(lp_dir: Path, stem: str):
@@ -157,13 +149,16 @@ def cmd_solve(args) -> int:
 
     seed_solution = None
     seed_lambda = None
-    seed_ms = 0
-    node_limit = args.node_limit  # the seed's tree counts against it too
+    seed_ms = seed_nodes = 0
     if args.seed_lambda == "heuristic":
-        seed_solution = heuristic_solve(inst, _heuristic_cfg(args, regime))
+        # the seed's tree is the solve's first search: it may use both
+        # whole budgets, and the exact rounds get what it left of them
+        seed_solution = heuristic_solve(inst, SearchConfig(
+            regime=regime, restarts=args.restarts,
+            time_budget=remaining(args.time_limit, t0), rng_seed=args.seed,
+            node_limit=args.node_limit))
         seed_ms = int(round((time.monotonic() - t0) * 1000))
-        if node_limit is not None:
-            node_limit -= seed_solution.tree_nodes
+        seed_nodes = seed_solution.tree_nodes
     elif args.seed_lambda == "zero":
         seed_lambda = Ratio(0, 1)
     else:
@@ -179,11 +174,12 @@ def cmd_solve(args) -> int:
         inst, regime, seed_lambda=seed_lambda, seed_solution=seed_solution,
         subsolver=subsolver,
         time_limit=remaining(args.time_limit, t0),
-        node_limit=node_limit)
+        node_limit=None if args.node_limit is None
+        else args.node_limit - seed_nodes)
 
     out_path.write_text(write_solution(out.solution))
     print(f"wrote {out_path}", file=sys.stderr)
-    report = _solve_report(inst, out, seed_ms)
+    report = _solve_report(inst, out, seed_ms, seed_nodes)
     print(report)
 
     # the written file must reproduce the reported numbers exactly
@@ -215,8 +211,7 @@ def cmd_oracle(args) -> int:
 def cmd_bench(args) -> int:
     entries = benchmod.read_manifest(args.manifest)
     rows = benchmod.run_bench(entries, time_limit=args.time_limit,
-                              restarts=args.restarts,
-                              heuristic_time=args.heuristic_time)
+                              restarts=args.restarts)
     print(benchmod.format_text(rows))
     if args.csv:
         Path(args.csv).write_text(benchmod.format_csv(rows))
@@ -263,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="starting ratio: 'heuristic', 'zero', a rational "
                         "like 15/24, or a decimal like 0.6957")
     p.add_argument("--time-limit", type=seconds, default=None, metavar="SEC",
-                   help="total budget, heuristic seed included")
+                   help="wall-clock budget of the heuristic seed and the "
+                        "exact rounds together")
     p.add_argument("--node-limit", type=count, default=None, metavar="N",
                    help="node budget of the heuristic seed's search and "
                         "the exact rounds together")
@@ -275,9 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory for lp-export round files")
     p.add_argument("-o", "--output", default=None,
                    help="solution file path (default: instance with .sol)")
-    p.add_argument("--heuristic-time", type=seconds, default=None,
-                   metavar="SEC",
-                   help="heuristic seed budget (default: half of --time-limit)")
     p.add_argument("--restarts", type=count, default=8)
     p.add_argument("--seed", type=int, default=0,
                    help="heuristic rng seed")
@@ -296,9 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-limit", type=seconds, default=60.0, metavar="SEC",
                    help="per-instance budget, heuristic seed included "
                         "(default 60)")
-    p.add_argument("--heuristic-time", type=seconds, default=None,
-                   metavar="SEC",
-                   help="heuristic seed budget (default: half of --time-limit)")
     p.add_argument("--restarts", type=count, default=8)
     p.add_argument("--csv", default=None, metavar="PATH",
                    help="also write results as CSV")

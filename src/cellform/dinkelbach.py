@@ -30,7 +30,10 @@ the tree's own resume rule: a certified seed's tree has finished, so its
 first round returns at once and proves the seed in no node instead of
 twice, and a seed whose tree ran out of budget is searched on from where
 it stopped. A seed reused after its tree moved above it gets a
-fresh tree.
+fresh tree. Since the seed's tree is the solve's first search, a caller
+with one time limit gives the seed all of it and the rounds what the seed
+left (see remaining); the seed itself is bounded by work, not by a share
+of the time.
 
 A subsolver passed to solve replaces the tree with one call per round, each
 a search of its own at that round's lambda; it ignores the seed's tree.
@@ -53,7 +56,6 @@ from .solutions import (Regime, Solution, canonicalize, check_feasible,
 log = logging.getLogger(__name__)
 
 _MAX_ROUNDS = 10_000  # safety valve; the ratio sequence is finite
-_SEED_SHARE = 0.5     # of time_limit, for a seed without a limit of its own
 
 
 class SolveStatus(str, Enum):
@@ -104,22 +106,10 @@ def raw_ratio(inst: Instance, sol: Solution) -> Ratio:
     return efficacy_ratio(inst.n1, sol.n1_in, sol.n0_in)
 
 
-def seed_budget(time_limit: float | None,
-                heuristic_time: float | None) -> float | None:
-    """The heuristic seed's share of a solve's total time_limit (None =
-    unlimited): the earlier of heuristic_time and the total when
-    heuristic_time is set, else _SEED_SHARE of the total, so that a short
-    budget still leaves the exact rounds time to improve or prove the
-    seed."""
-    if heuristic_time is None:
-        return None if time_limit is None else _SEED_SHARE * time_limit
-    return heuristic_time if time_limit is None else min(heuristic_time,
-                                                         time_limit)
-
-
 def remaining(time_limit: float | None, t0: float) -> float | None:
     """What is left now of a time_limit that started at monotonic time t0
-    (None = unlimited); the exact rounds get this after the seed."""
+    (None = unlimited): a heuristic seed's budget at t0, and the exact
+    rounds' after the seed."""
     if time_limit is None:
         return None
     return max(0.0, time_limit - (time.monotonic() - t0))

@@ -98,6 +98,9 @@ def test_run_bench_rows(manifest_dir):
     assert [r.status for r in rows] == ["Optimal", "Optimal", "Error"]
     assert rows[0].achieved == "0.6957"
     assert rows[0].m == 5 and rows[0].p == 7
+    # nodes counts the seed's tree, which certifies the seed, and the solve,
+    # which then needs no node
+    assert [r.nodes for r in rows] == [21, 23, 0]
     assert rows[2].error  # missing file reported, run not aborted
     assert not failed(rows)
 

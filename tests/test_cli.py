@@ -92,7 +92,7 @@ def test_solve_writes_solution_and_reports(inst_file, capsys):
     line = captured.out.strip()
     assert line.startswith("status=Optimal efficacy=16/23 (0.6957) cells=2 ")
     assert "iters=" in line and "nodes=" in line and "time_ms=" in line
-    assert re.search(r" seed_ms=\d+$", line)
+    assert re.search(r" seed_ms=\d+ seed_nodes=\d+$", line)
     sol_path = inst_file.with_suffix(".sol")
     assert f"wrote {sol_path}" in captured.err
     sol = parse_solution(sol_path.read_text(), load_instance(inst_file))
@@ -107,7 +107,7 @@ def test_solve_explicit_output_and_seed(inst_file, tmp_path, capsys):
     assert out_path.exists()
     line = capsys.readouterr().out.strip()
     assert line.startswith("status=Optimal efficacy=16/23")
-    assert line.endswith(" seed_ms=0")  # no heuristic seed ran
+    assert line.endswith(" seed_ms=0 seed_nodes=0")  # no heuristic seed ran
 
 
 def test_solve_verbose_logs_iterations(inst_file, caplog, capsys):
@@ -123,16 +123,16 @@ def test_solve_verbose_logs_iterations(inst_file, caplog, capsys):
 def test_solve_verbose_logs_one_heuristic_line(inst_file, caplog, capsys):
     # -v logs one line per heuristic_solve call: the climbs from the seed
     # tree's groupings, the random climbs run out of the restarts, the
-    # tree's nodes out of its budget, the relocation rows the climbs scored
-    # and whether the tree certified the seed. The report on stdout is the
-    # one a run without -v prints, up to its timings
+    # tree's nodes out of its budget and whether the tree certified the
+    # seed. The report on stdout is the one a run without -v prints, up to
+    # its timings
     with caplog.at_level(logging.INFO, logger="cellform.heuristic"):
         assert main(["-v", "solve", str(inst_file)]) == 0
     msgs = [r.getMessage() for r in caplog.records
             if r.name == "cellform.heuristic"]
     assert len(msgs) == 1
     assert re.fullmatch(r"heuristic tree_climbs=\d+ random_climbs=0/8 "
-                        r"tree_nodes=\d+/\d+ scored_rows=\d+ certified=yes",
+                        r"tree_nodes=\d+/\d+ certified=yes",
                         msgs[0]), msgs
     verbose = capsys.readouterr().out
     assert main(["solve", str(inst_file)]) == 0
@@ -210,23 +210,31 @@ def test_a_node_limit_of_the_nodes_a_proof_needs_proves_it(tmp_path, capsys):
 
 @pytest.fixture
 def big_file(tmp_path):
-    """A planted 24x40 instance whose unbudgeted heuristic seed alone takes
-    several seconds."""
+    """A planted 24x40 instance whose heuristic seed's tree stalls on its
+    node budget: the unbudgeted seed ends by itself in about 0.3 s at 8
+    restarts, and in several seconds at 100 (BIG_RESTARTS)."""
     inst, _ = planted_instance(3, 24, 40, 7, .75, .08)
     f = tmp_path / "big.cfp"
     f.write_text(write_instance(inst))
     return f
 
 
+# the unbudgeted seed of big_file takes 4.3 s at 100 restarts (2-CPU Xeon
+# VM), so a limit of 1 s stops it
+BIG_RESTARTS = "100"
+
+
 def test_solve_time_limit_covers_the_seed(big_file, capsys):
     t0 = time.monotonic()
-    assert main(["solve", str(big_file), "--time-limit", "1"]) == 0
+    assert main(["solve", str(big_file), "--time-limit", "1",
+                 "--restarts", BIG_RESTARTS]) == 0
     assert time.monotonic() - t0 < 3
     out = capsys.readouterr().out
     assert out.startswith("status=TimeLimit ")
-    # the seed takes half the budget; the exact rounds get the rest
+    # the seed may take the whole budget; the exact rounds get what is left
     fields = dict(f.split("=") for f in out.split() if "=" in f)
-    assert int(fields["iters"]) >= 1 and int(fields["nodes"]) > 0
+    seed_ms, time_ms = int(fields["seed_ms"]), int(fields["time_ms"])
+    assert seed_ms >= 1000 and seed_ms + time_ms < 3000, fields
     inst = load_instance(big_file)
     sol = parse_solution(big_file.with_suffix(".sol").read_text(), inst)
     assert check_feasible(inst, sol, Regime.NO_RESIDUAL)[0]
@@ -252,16 +260,46 @@ def test_node_limit_covers_the_seed(tmp_path, caplog, capsys):
         report = dict(kv.split("=") for kv in capsys.readouterr().out.split()
                       if "=" in kv)
         assert report["status"] == "NodeLimit", report
+        assert int(report["seed_nodes"]) == seed_nodes, report
         assert seed_nodes + int(report["nodes"]) == limit, report
+
+
+def test_verbose_node_counts_add_up(tmp_path, caplog, capsys):
+    # the heuristic line's tree_nodes and the iter= lines' nodes are the
+    # report's seed_nodes and nodes: on A2 the seed certifies itself, on
+    # planted 24x40/k7 the node limit stops the seed's tree and the rounds
+    a2 = Path(__file__).resolve().parents[1] / "data" / "testset_a" / "A2.cfp"
+    inst, _ = planted_instance(0, 24, 40, 7, .75, .08)
+    big = tmp_path / "big0.cfp"
+    big.write_text(write_instance(inst))
+    for argv in ([str(a2)], [str(big), "--node-limit", "1000"]):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="cellform"):
+            assert main(["-v", "solve", *argv,
+                         "-o", str(tmp_path / "out.sol")]) == 0
+        logged = 0
+        for r in caplog.records:
+            line = r.getMessage()
+            if line.startswith(("heuristic ", "iter=")):
+                logged += int(re.search(r" (?:tree_)?nodes=(\d+)", line)[1])
+        report = dict(kv.split("=") for kv in capsys.readouterr().out.split()
+                      if "=" in kv)
+        assert logged == int(report["seed_nodes"]) + int(report["nodes"]), (
+            argv, report)
 
 
 def test_bench_time_limit_covers_the_seed(big_file, tmp_path, capsys):
     man = tmp_path / "big.csv"
     man.write_text("path,regime,expected\nbig.cfp,no-residual,1/2\n")
     t0 = time.monotonic()
-    assert main(["bench", str(man), "--time-limit", "1"]) == 0
+    assert main(["bench", str(man), "--time-limit", "1",
+                 "--restarts", BIG_RESTARTS]) == 0
     assert time.monotonic() - t0 < 3
-    assert " TimeLimit " in capsys.readouterr().out
+    # a row's time_ms counts the seed and the exact rounds together
+    header, row = capsys.readouterr().out.splitlines()[:2]
+    fields = dict(zip(header.split(), row.split()))
+    assert fields["status"] == "TimeLimit", fields
+    assert 1000 <= int(fields["time_ms"]) < 3000, fields
 
 
 # ---------------------------------------------------------------- oracle
@@ -430,9 +468,7 @@ def test_usage_errors_exit_2():
     ["solve", "{f}", "--node-limit", "0"],
     ["solve", "{f}", "--node-limit", "-3"],
     ["solve", "{f}", "--time-limit", "-1"],
-    ["solve", "{f}", "--heuristic-time", "-1"],
     ["bench", "{f}", "--time-limit", "-1"],
-    ["bench", "{f}", "--heuristic-time", "-1"],
     ["solve", "{f}", "--restarts", "0"],
     ["bench", "{f}", "--restarts", "-3"],
 ])

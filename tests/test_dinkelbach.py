@@ -12,7 +12,6 @@ from cellform.dinkelbach import (
     SolveStatus,
     raw_ratio,
     remaining,
-    seed_budget,
     solve,
     trivial_solution,
 )
@@ -113,15 +112,8 @@ def test_zero_budget_times_out(ref_instance):
 
 
 def test_budget_split_between_seed_and_proof():
-    # without a limit of its own the seed gets half the total, so the proof
-    # keeps time; with one it stops at the earlier of its limit and the total
-    assert seed_budget(None, None) is None
-    assert seed_budget(5.0, None) == 2.5
-    assert seed_budget(0.0, None) == 0.0
-    assert seed_budget(None, 2.0) == 2.0
-    assert seed_budget(5.0, 2.0) == 2.0
-    assert seed_budget(1.0, 2.0) == 1.0
-    # the proof gets what is left, never less than nothing
+    # the seed may use the whole limit; the proof gets what is left of it,
+    # never less than nothing
     assert remaining(None, 0.0) is None
     assert remaining(1.0, time.monotonic() - 5.0) == 0.0
     assert 0.0 < remaining(60.0, time.monotonic()) <= 60.0

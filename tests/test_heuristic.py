@@ -349,9 +349,10 @@ def test_a_climb_cut_by_the_deadline_still_gives_a_checked_answer(monkeypatch):
     assert cut >= 5, cut
 
 
-def test_climb_reports_the_cell_count_of_each_grouping_it_scores(monkeypatch):
-    # path gets one entry per grouping whose neighbours _moves scores, its
-    # cell count, in climb order, and the climb's result is the last one
+def test_climb_ends_on_the_last_grouping_it_scores(monkeypatch):
+    # _moves scores the neighbours of each grouping on the climb's path, in
+    # climb order; the last one scored is the climb's result, whose cell
+    # count the spy records, and the same start gives the same climb
     scored = []
 
     def spy(inst, sol, cap, deadline):
@@ -368,9 +369,8 @@ def test_climb_reports_the_cell_count_of_each_grouping_it_scores(monkeypatch):
             start = heuristic._random_machine_cells(
                 inst.m, rng.randint(1, 5), rng)
             scored.clear()
-            path = [7]  # climb appends to what the list holds
-            sol = climb(inst, start, regime, None, path)
-            assert path == [7] + scored and path[-1] == sol.c, (inst.a, regime)
+            sol = climb(inst, start, regime, None)
+            assert scored[-1] == sol.c, (inst.a, regime)
             assert climb(inst, start, regime, None) == sol
             lengths.add(len(scored))
     assert len(lengths) >= 3 and max(lengths) >= 4, lengths
@@ -378,8 +378,8 @@ def test_climb_reports_the_cell_count_of_each_grouping_it_scores(monkeypatch):
 
 def _summaries(caplog):
     # the one line per call: climbs from tree groupings, random climbs run
-    # and restarts, tree nodes and budget, scored rows and whether the tree
-    # certified the seed
+    # and restarts, tree nodes and budget and whether the tree certified
+    # the seed
     return [r.args for r in caplog.records if r.name == "cellform.heuristic"]
 
 
@@ -408,7 +408,7 @@ def test_a_certified_seed_is_optimal(caplog):
             with caplog.at_level(logging.INFO, logger="cellform.heuristic"):
                 sol = heuristic_solve(inst, SearchConfig(
                     regime=regime, restarts=4, rng_seed=trial))
-            [(_, randoms, restarts, nodes, budget, _, verdict)] = (
+            [(_, randoms, restarts, nodes, budget, verdict)] = (
                 _summaries(caplog))
             where = (inst.a, regime)
             assert restarts == 4, where
@@ -485,7 +485,7 @@ def test_a_seed_that_cannot_be_certified_runs_every_climb(monkeypatch, caplog):
     monkeypatch.setattr(heuristic, "Tree", Counted)
     with caplog.at_level(logging.INFO, logger="cellform.heuristic"):
         got = heuristic_solve(inst, cfg)
-    [(from_tree, *summary, _, verdict)] = _summaries(caplog)
+    [(from_tree, *summary, verdict)] = _summaries(caplog)
     assert from_tree >= 1 and verdict == "no"
     assert summary == [8, 8, nodes, budget] and got.tree_nodes == budget
     want = unscreened_heuristic_solve(inst, regime, 8, 0)
