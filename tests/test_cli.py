@@ -468,7 +468,9 @@ def test_usage_errors_exit_2():
     ["solve", "{f}", "--node-limit", "0"],
     ["solve", "{f}", "--node-limit", "-3"],
     ["solve", "{f}", "--time-limit", "-1"],
+    ["solve", "{f}", "--time-limit", "nan"],
     ["bench", "{f}", "--time-limit", "-1"],
+    ["bench", "{f}", "--time-limit", "nan"],
     ["solve", "{f}", "--restarts", "0"],
     ["bench", "{f}", "--restarts", "-3"],
 ])
