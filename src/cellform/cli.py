@@ -277,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("oracle",
-                       help="brute-force certification on tiny instances")
+                       help="exact optimum by enumerating machine partitions, "
+                            "up to 8 machines x 48 parts")
     p.add_argument("instance")
     _add_regime(p)
     p.add_argument("-o", "--output", default=None,

@@ -317,7 +317,7 @@ def test_oracle_report(inst_file, tmp_path, capsys):
 
 def test_oracle_size_guard(tmp_path, capsys):
     big = tmp_path / "big.cfp"
-    big.write_text("8 2\n" + "1 1\n" * 8)
+    big.write_text("9 2\n" + "1 1\n" * 9)
     assert main(["oracle", str(big)]) == 1
     assert "error: oracle limited to" in capsys.readouterr().err
 
