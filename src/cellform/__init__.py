@@ -1,10 +1,14 @@
 """Exact solver for the cell formation problem with a variable number of
 production cells, maximizing grouping efficacy.
 
-The pipeline: a multi-start local search seeds a parametric (ratio-fixing)
-outer loop whose subproblems are solved exactly by branch-and-bound over
-machine partitions; a brute-force oracle certifies small instances, and a
-two-index 0-1 model with LP export supports external solvers.
+The pipeline: a heuristic seed, which climbs from the groupings its own
+branch-and-bound tree finds and from random restarts only when that tree
+stalls, starts a parametric (ratio-fixing) outer loop whose subproblems
+are solved exactly by branch-and-bound over machine partitions, resuming
+the seed's tree. An exact oracle, which enumerates every machine partition
+and labels the parts of each by a dynamic program over the parts, checks
+instances up to 8x48, and a two-index 0-1 model with LP export supports
+external solvers.
 """
 
 from .bnb import (SubproblemResult, SubproblemStats, label_cap, make_weights,

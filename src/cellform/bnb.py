@@ -56,10 +56,25 @@ a - lambda*(1 - a), and future_bounds is a max over partitions of such sums.
 A child pruned at bound <= 0 stays pruned, and a leaf passed at F <= 0
 stays below, at any higher ratio. So a run that completes proves that
 nothing beats its lambda.
+
+A resumed run without a node budget first tries to settle the rest of the
+search depth by depth instead of depth first (Tree._settle). With an
+incumbent the threshold stays fixed until a leaf beats it, so which nodes a
+run counts, prunes, enters and scores does not depend on the order it
+visits them in. The nodes left at one depth - the children the stack still
+holds there and the live children of the depth above - all branch on the
+same machine with the same offset, so one stacked child_bounds call bounds
+all of their children: a numpy call per depth, not one per entered node.
+The pass counts what the depth-first loop would. It gives up, leaving the
+tree as it found it for the loop, once a live leaf beats the incumbent,
+the frontier outgrows _SETTLE_SLABS or the deadline, polled once per
+depth, has passed. A fresh tree's first run, and any run under a node
+budget, goes straight to the loop: there the pass measured slower.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import time
@@ -75,6 +90,12 @@ from .solutions import Regime, Solution, canonicalize, efficacy
 
 _NEG_INF = -(1 << 62)
 _TAIL_EXACT = 6  # suffixes up to this long get an exact future; Bell(6) = 203
+# Most nodes one depth of Tree._settle may hold before it gives up to the
+# depth-first loop; each holds its cell sums. On the first 600 seed-0
+# proof-planted ops the widest depth of a proof holds 40 nodes at the median,
+# 166 at p90 and 942 at most: 256 settles 540 of the 559 proofs for about
+# 1 MB of peak memory, 512 settles 557 for about 1.8 MB
+_SETTLE_SLABS = 256
 
 
 def make_weights(inst: Instance, lam: Ratio) -> np.ndarray:
@@ -335,14 +356,18 @@ class Tree:
     nodes left to visit finishes. A leaf that stopped a run is counted
     again when the next run visits it. The stored lists hold the last
     run's lambda, so a resumed run drops them and re-bounds the nodes on
-    the stack one call each.
+    the stack one call each. A resumed run without a node budget then
+    tries _settle, which finishes the search level by level with the same
+    counts, or gives up and leaves the tree to the loop.
     """
 
     def __init__(self, inst: Instance, regime: Regime):
         m = inst.m
         self.inst = inst
         self.no_res = regime is Regime.NO_RESIDUAL
-        self.c_max = label_cap(inst, regime)
+        self.c_max = c_max = label_cap(inst, regime)
+        # span[k]: the children of a node with k open cells
+        self.span = [min(k + 1, c_max) for k in range(c_max + 2)]
         self.order = sorted(range(m),
                             key=lambda i: (-int(inst.matrix[i].sum()), i))
         # cells the search has descended through; rows past the open ones
@@ -388,6 +413,97 @@ class Tree:
             if t < self.d:
                 cell_sums[self.trying[t]] += wo[t]
 
+    def _settle(self, best_F: int, deadline: float) -> SubproblemStats | None:
+        """Finish a resumed search depth by depth, when no leaf beats best_F.
+
+        The frontier at depth d holds the live nodes that place machines
+        0..d-1: the children of the last depth's frontier whose bound beats
+        best_F, and the children the stack still holds at depth d - 1 that
+        do. All of them branch on machine d and add offset[d], so one
+        stacked child_bounds call, made in chunks of half _SETTLE_SLABS
+        slabs, bounds all of their children. The run counts what the
+        depth-first loop would: every child of a live internal node, a
+        child the stack holds when it is visited, a prune for each bound
+        at or below best_F. A node is entered unless its parent had two or
+        more live children and none of its own is live (the loop counts
+        such a node from the parent's stacked call); a child the stack
+        holds is always entered, as _resume dropped its parent's call.
+
+        Returns the run's stats with the search finished, or None, the
+        tree as it was, once a live leaf beats best_F, the frontier grows
+        past _SETTLE_SLABS or the deadline, polled once per depth, passes.
+        """
+        m, wo, unit, span = self.inst.m, self.wo, self.unit, self.span
+        # allow[k]: the labels of the children of a node with k open cells
+        allow = np.arange(self.c_max) < np.array(span)[:, None]
+        chunk = (_SETTLE_SLABS + 1) // 2  # slabs per child_bounds call
+        nodes = pruned = entered = max_depth = 0
+        # the live children the stack holds, by depth, and their cell sums
+        at, label, root_k = [], [], []
+        for d in range(self.d + 1):
+            b, kd = self.bounds[d], self.opened[d]
+            todo = self.kids[d][self.cursor[d]:]
+            live = [c for c in todo if b[c] > best_F]
+            nodes += len(todo)
+            pruned += len(todo) - len(live)
+            if todo:
+                max_depth = d + 1
+            at += [d] * len(live)
+            label += live
+            root_k += [max(kd, c + 1) for c in live]
+        path = np.zeros((self.d + 1,) + self.cell_sums.shape, dtype=np.int64)
+        path[1:] = np.cumsum(unit[self.trying[:self.d]] * wo[:self.d, None],
+                             axis=0)
+        root_sums = path[at] + unit[label] * wo[at, None]
+        root_k = np.array(root_k, dtype=np.intp)
+        root_lone = np.ones(len(at), dtype=bool)
+        sums, k, lone = root_sums[:0], root_k[:0], root_lone[:0]
+        for d in range(m):
+            if time.monotonic() > deadline:
+                return None
+            lo, hi = bisect.bisect_left(at, d), bisect.bisect_right(at, d)
+            j = c = y = k  # empty, as the frontier is, until it has nodes
+            if len(k):  # bound and count the children of the frontier
+                b = []
+                for a in range(0, len(k), chunk):
+                    b += child_bounds(sums[a:a + chunk], wo[d],
+                                      self.offset[d])
+                ok = allow[k, :sums.shape[1]]
+                live = np.array(b, dtype=np.int64) > best_F
+                live &= ok
+                y = live.sum(axis=1)
+                n = int(np.count_nonzero(ok))
+                nodes += n
+                pruned += n - int(y.sum())
+                entered += int(np.count_nonzero(lone | (y > 0)))
+                max_depth = max(max_depth, d + 1)
+                j, c = np.nonzero(live)
+            elif lo == hi:
+                continue
+            # the next frontier: the live children, then the live children
+            # the stack holds at this depth
+            if len(j) + hi - lo > _SETTLE_SLABS:
+                return None
+            k = np.concatenate((np.maximum(k[j], c + 1), root_k[lo:hi]))
+            lone = np.concatenate((y[j] == 1, root_lone[lo:hi]))
+            rows = span[k.max(initial=0)]
+            r = min(rows, sums.shape[1])
+            kids = np.zeros((len(k), rows, sums.shape[2]), dtype=np.int64)
+            # clip, as j is in range, lets take write into kids unbuffered
+            np.take(sums[:, :r], j, axis=0, out=kids[:len(j), :r], mode="clip")
+            kids[np.arange(len(j)), c] += wo[d]
+            kids[len(j):] = root_sums[lo:hi, :rows]
+            sums = kids
+        for S, kc in zip(sums, k.tolist()):  # the live leaves
+            if optimal_parts(S[:kc], self.no_res)[1] - self.const > best_F:
+                return None
+        self.d = -1
+        self.cell_sums[:] = 0
+        self.kids = [None] * m
+        self.bounds = [None] * m
+        self.grand = [None] * m
+        return SubproblemStats(nodes, len(sums), pruned, max_depth, entered)
+
     def run(self, lam: Ratio, incumbent_F: int | None = None,
             time_limit: float | None = None,
             node_limit: int | None = None) -> SubproblemResult:
@@ -410,14 +526,18 @@ class Tree:
             self.floor = incumbent_F
             return SubproblemResult(incumbent_F, None, False,
                                     SubproblemStats())
-        self._weigh(lam)
-        if resuming:
-            self._resume()
-
         # both budgets as numbers, math.inf for none
         limit = math.inf if node_limit is None else node_limit
         deadline = (math.inf if time_limit is None
                     else time.monotonic() + time_limit)
+        self._weigh(lam)
+        if resuming:
+            self._resume()
+            if node_limit is None:
+                stats = self._settle(incumbent_F, deadline)
+                if stats is not None:
+                    self.floor = incumbent_F
+                    return SubproblemResult(incumbent_F, None, False, stats)
         m, order = self.inst.m, self.order
         wo, offset, const = self.wo, self.offset, self.const
         c_max, no_res = self.c_max, self.no_res
@@ -428,8 +548,7 @@ class Tree:
         # that adding one to the other is one in-place numpy step; _resume
         # zeroes cell_sums in place, which keeps them valid
         cell_row, w_row = list(cell_sums), list(wo)
-        # span[k]: the children of a node with k open cells
-        span = [min(k + 1, c_max) for k in range(c_max + 2)]
+        span = self.span
 
         best_F = _NEG_INF if incumbent_F is None else incumbent_F
         best_m = best_p = None

@@ -12,16 +12,20 @@ By default a solve grows one bnb.Tree. A round without an incumbent (no
 seed, or a bare seed ratio) is a fresh full search for the maximum; from
 the first round with an incumbent on, every round resumes that one
 depth-first search at the raised lambda instead of restarting it from the
-root. That stays exact because every bound, and every leaf's F scaled by
-1/q, does not increase in lambda: each is a sum of terms a - lambda*(1 - a),
-or a max of such sums, as the bound's future term (the best grouping of
-the machines not yet placed) is. What a round pruned or passed at F <= 0
-stays so at any higher ratio. The round in which the search completes
-without a leaf above 0 therefore proves the last lambda optimal, as does a
-full search whose maximum is exactly F = 0. Seeding above the optimum makes
-the first maximum negative, in which case the argmax restarts the loop from
-below. Every lambda after the first is the efficacy of a real grouping, so
-the sequence is strictly increasing and finite.
+root. A resumed round without a node budget first tries to finish the
+search depth by depth, one stacked bound call per depth, with the same
+node counts (see the bnb module); the round that proves the last lambda
+usually ends that way. Resuming stays exact because every bound, and
+every leaf's F scaled by 1/q, does not increase in lambda: each is a sum
+of terms a - lambda*(1 - a), or a max of such sums, as the bound's future
+term (the best grouping of the machines not yet placed) is. What a round
+pruned or passed at F <= 0 stays so at any higher ratio. The round in
+which the search completes without a leaf above 0 therefore proves the
+last lambda optimal, as does a full search whose maximum is exactly F = 0.
+Seeding above the optimum makes the first maximum negative, in which case
+the argmax restarts the loop from below. Every lambda after the first is
+the efficacy of a real grouping, so the sequence is strictly increasing
+and finite.
 
 A seed from heuristic_solve carries the Tree that tried to certify it. The
 solve takes it over as its one tree when it searched the same instance

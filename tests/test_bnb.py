@@ -1,4 +1,7 @@
+import collections
+import contextlib
 import itertools
+import math
 import random
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 
 from cellform import bnb
 from cellform.bnb import (
+    _SETTLE_SLABS,
     _TAIL_EXACT,
     SubproblemStats,
     Tree,
@@ -18,6 +22,8 @@ from cellform.bnb import (
     optimal_parts,
     solve_subproblem,
 )
+from cellform.dinkelbach import solve, trivial_solution
+from cellform.heuristic import SearchConfig, heuristic_solve
 from cellform.instances import Instance
 from cellform.partitions import iter_set_partitions
 from cellform.rational import Ratio, parse_ratio
@@ -781,6 +787,211 @@ def test_a_budget_of_the_nodes_a_search_needs_completes_it():
                 proofs += res.solution is None
                 answered += res.solution is not None
     assert proofs >= 10 and answered >= 40, (proofs, answered)
+
+
+@contextlib.contextmanager
+def depth_first():
+    # Tree.run with its settling pass switched off: every run walks the
+    # search depth-first
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Tree, "_settle", lambda self, best_F, deadline: None)
+        yield
+
+
+def settle_spy(monkeypatch):
+    # counts what each settling pass returned: its stats, or None when it
+    # gave up
+    real, seen = Tree._settle, collections.Counter()
+
+    def spy(self, best_F, deadline):
+        stats = real(self, best_F, deadline)
+        seen["settled" if stats is not None else "gave up"] += 1
+        return stats
+    monkeypatch.setattr(Tree, "_settle", spy)
+    return seen
+
+
+def tree_state(tree):
+    # what the next run starts from: the stack, its children left to visit
+    # and its cell sums
+    d = tree.d
+    return (d, tree.cell_sums.tolist(), tree.opened[:d + 1],
+            tree.trying[:d + 1], tree.cursor[:d + 1],
+            [list(todo) for todo in tree.kids[:d + 1]])
+
+
+def run_both(tree, twin, *args, **kwargs):
+    # tree.run as it is and twin.run depth-first give the same result and
+    # leave the same tree; a finished search leaves no row in cell_sums
+    res = tree.run(*args, **kwargs)
+    with depth_first():
+        want = twin.run(*args, **kwargs)
+    assert (res.best_F, res.solution, res.truncated, res.stats) == (
+        want.best_F, want.solution, want.truncated, want.stats)
+    assert {type(n) for n in vars(res.stats).values()} == {int}
+    assert tree_state(tree) == tree_state(twin)
+    if tree.d < 0:
+        assert not tree.cell_sums.any()
+    return res
+
+
+def test_a_settled_run_equals_the_depth_first_run(monkeypatch):
+    # chains of rising ratios, each from the grouping the last run
+    # returned, as the Dinkelbach loop runs them, some after runs stopped
+    # by node budgets: every run, settled or given up, returns what the
+    # depth-first run returns, with the same counts, and leaves the same
+    # tree. With an incumbent the nodes a run counts do not depend on the
+    # order it visits them in, until a leaf beats the incumbent
+    seen = settle_spy(monkeypatch)
+    rng = random.Random(107)
+    runs = chopped = 0
+    for trial in range(60):
+        if trial % 3 == 0:
+            inst, _ = planted_instance(trial, 9, 12, 3, .7, .15)
+        elif trial % 3 == 1:
+            inst, _ = planted_instance(trial, 10, 15, 4, .7, .12)
+        else:
+            inst = random_instance(rng, rng.randrange(2, 10),
+                                   rng.randrange(2, 13), rng.choice((.3, .5)))
+        for regime in Regime:
+            tree, twin = Tree(inst, regime), Tree(inst, regime)
+            lam = Ratio(rng.randrange(0, 10), 20)
+            for _ in range(trial % 2 * 3):
+                res = run_both(tree, twin, lam, 0,
+                               node_limit=rng.randrange(1, inst.m + 1))
+                chopped += res.truncated
+            while (res := run_both(tree, twin, lam, 0)).solution is not None:
+                runs += 1
+                lam = res.solution.efficacy
+                if rng.random() < .2:  # a jump, as after a polish
+                    lam = max(lam, Ratio(rng.randrange(0, 21), 20))
+            runs += 1
+    assert chopped >= 40 and runs >= 400, (chopped, runs)
+    assert seen["settled"] >= 100 and seen["gave up"] >= 200, seen
+
+
+def test_a_settled_solve_equals_the_depth_first_solve(monkeypatch):
+    # whole solves, from a bare seed ratio (whose rounds from the third on
+    # resume one tree) and from the one-cell grouping (from the second):
+    # the same outcome, round by round, with the pass as without it
+    seen = settle_spy(monkeypatch)
+    rng = random.Random(109)
+
+    def rounds(out):
+        return (out.status, out.solution, out.lambda_final, out.nodes,
+                [(r.lam, r.F, r.nodes, r.entered, r.leaves, r.pruned,
+                  r.polished) for r in out.history])
+    for trial in range(24):
+        if trial % 2:
+            inst, _ = planted_instance(trial, 10, 15, 4, .7, .12)
+        else:
+            inst = random_instance(rng, rng.randrange(4, 10),
+                                   rng.randrange(3, 13), rng.choice((.3, .5)))
+        for regime in Regime:
+            for seed in ({"seed_lambda": Ratio(rng.randrange(0, 12), 20)},
+                         {"seed_solution": trivial_solution(inst)}):
+                out = solve(inst, regime, **seed)
+                with depth_first():
+                    want = solve(inst, regime, **seed)
+                assert rounds(out) == rounds(want), (inst.a, regime, seed)
+    assert seen["settled"] >= 40, seen
+
+
+def stopped_tree(inst, regime, lam):
+    # a tree whose run at lam stopped on its first leaf above 0, and the
+    # efficacy of that leaf's grouping, at which the next run resumes it
+    tree = Tree(inst, regime)
+    res = tree.run(lam, 0)
+    assert res.solution is not None
+    return tree, res.solution.efficacy
+
+
+def test_a_settling_pass_that_gives_up_leaves_the_tree_untouched(
+        monkeypatch):
+    # each way the pass gives up - a leaf that beats the incumbent, a
+    # frontier wider than its cap, a deadline that has passed - returns
+    # None with the tree as the pass found it, and the run goes on
+    # depth-first to the depth-first result. Trees stopped on the one-cell
+    # dive resume at the optimum, where the pass settles the proof unless
+    # it is made to give up. A run with no time left still stops at its
+    # first clock poll, 1024 counted nodes in
+    real, settled = Tree._settle, []
+
+    def spy(self, best_F, deadline):
+        before = tree_state(self), [list(b) for b in self.bounds[:self.d + 1]]
+        stats = real(self, best_F, deadline)
+        settled.append(stats is not None)
+        if stats is None:
+            assert (tree_state(self), [list(b) for b in
+                                       self.bounds[:self.d + 1]]) == before
+        return stats
+    monkeypatch.setattr(Tree, "_settle", spy)
+
+    def resumed_at(lam, **kwargs):
+        # one run of a dive's tree at lam, which must try the pass once
+        tree, _ = stopped_tree(inst, regime, Ratio(0, 1))
+        twin, _ = stopped_tree(inst, regime, Ratio(0, 1))
+        settled.clear()
+        res = run_both(tree, twin, lam, 0, **kwargs)
+        assert len(settled) == 1, (inst.a, regime, str(lam))
+        return settled[0], res
+
+    finished = 0  # proofs the clock let finish, in less than 1024 nodes
+    for seed in range(6):
+        inst, _ = planted_instance(seed, 10, 15, 4, .7, .12)
+        for regime in Regime:
+            best = solve(inst, regime, seed_lambda=Ratio(0, 1)).solution
+            assert resumed_at(best.efficacy)[0]
+            with monkeypatch.context() as mp:
+                mp.setattr(bnb, "_SETTLE_SLABS", 1)
+                assert not resumed_at(best.efficacy)[0]
+            ok, res = resumed_at(best.efficacy, time_limit=0)
+            assert not ok
+            assert res.truncated == (res.stats.nodes >= 1024)
+            finished += not res.truncated
+            # a leaf beats the dive's efficacy, whatever the cap
+            with monkeypatch.context() as mp:
+                mp.setattr(bnb, "_SETTLE_SLABS", 10 ** 4)
+                _, lam = stopped_tree(inst, regime, Ratio(0, 1))
+                ok, res = resumed_at(lam)
+                assert not ok and res.solution is not None
+    assert finished >= 6, finished
+
+    inst, _ = planted_instance(1, 16, 24, 5, .6, .15)
+    for regime in Regime:
+        # nothing beats 1/2 here: the rest of the search is a proof of
+        # more than 1024 nodes
+        ok, res = resumed_at(Ratio(1, 2), time_limit=0)
+        assert not ok and res.truncated
+        assert 1024 <= res.stats.nodes <= 1024 + label_cap(inst, regime)
+
+
+def test_only_a_resumed_run_without_a_node_budget_settles(monkeypatch):
+    # a fresh tree's first run and any run under a node budget walk the
+    # search depth-first, so the heuristic seed and a budgeted solve never
+    # try the pass; a resumed unbudgeted run does, even with a time limit
+    tried = []
+    real = Tree._settle
+
+    def spy(self, best_F, deadline):
+        tried.append(deadline)
+        return real(self, best_F, deadline)
+    monkeypatch.setattr(Tree, "_settle", spy)
+    inst, _ = planted_instance(3, 10, 15, 4, .7, .12)
+    for regime in Regime:
+        solve_subproblem(inst, Ratio(1, 2), regime, incumbent_F=0)
+        solve_subproblem(inst, Ratio(1, 2), regime)
+        tree, lam = stopped_tree(inst, regime, Ratio(0, 1))
+        while (res := tree.run(lam, 0, None, 10 ** 9)).solution is not None:
+            lam = res.solution.efficacy
+        assert tree.d < 0
+        seed = heuristic_solve(inst, SearchConfig(regime=regime))
+        solve(inst, regime, seed_lambda=Ratio(0, 1), node_limit=10 ** 9)
+        solve(inst, regime, seed_solution=seed, node_limit=10 ** 9)
+        assert tried == [], regime
+        tree, lam = stopped_tree(inst, regime, Ratio(0, 1))
+        tree.run(lam, 0, 60.0)
+        assert len(tried) == 1 and tried.pop() < math.inf, regime
 
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
