@@ -431,7 +431,9 @@ class Tree:
 
         Returns the run's stats with the search finished, or None, the
         tree as it was, once a live leaf beats best_F, the frontier grows
-        past _SETTLE_SLABS or the deadline, polled once per depth, passes.
+        past _SETTLE_SLABS or the deadline, polled once per depth, passes;
+        it gives up before it bounds a node when the stack's live children,
+        whose cell sums it builds up front, are more than _SETTLE_SLABS.
         """
         m, wo, unit, span = self.inst.m, self.wo, self.unit, self.span
         # allow[k]: the labels of the children of a node with k open cells
@@ -451,6 +453,8 @@ class Tree:
             at += [d] * len(live)
             label += live
             root_k += [max(kd, c + 1) for c in live]
+        if len(at) > _SETTLE_SLABS:  # their sums alone would pass the cap
+            return None
         path = np.zeros((self.d + 1,) + self.cell_sums.shape, dtype=np.int64)
         path[1:] = np.cumsum(unit[self.trying[:self.d]] * wo[:self.d, None],
                              axis=0)
@@ -500,8 +504,7 @@ class Tree:
         self.d = -1
         self.cell_sums[:] = 0
         self.kids = [None] * m
-        self.bounds = [None] * m
-        self.grand = [None] * m
+        self.bounds = [None] * m  # _resume has dropped grand
         return SubproblemStats(nodes, len(sums), pruned, max_depth, entered)
 
     def run(self, lam: Ratio, incumbent_F: int | None = None,

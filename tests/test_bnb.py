@@ -915,11 +915,18 @@ def test_a_settling_pass_that_gives_up_leaves_the_tree_untouched(
     # dive resume at the optimum, where the pass settles the proof unless
     # it is made to give up. A run with no time left still stops at its
     # first clock poll, 1024 counted nodes in
-    real, settled = Tree._settle, []
+    real, settled, bounded, calls = Tree._settle, [], [], []
+
+    def bounds_spy(cell_sums, row, offset):
+        calls.append(cell_sums.ndim)
+        return child_bounds(cell_sums, row, offset)
+    monkeypatch.setattr(bnb, "child_bounds", bounds_spy)
 
     def spy(self, best_F, deadline):
         before = tree_state(self), [list(b) for b in self.bounds[:self.d + 1]]
+        del calls[:]
         stats = real(self, best_F, deadline)
+        bounded.append(len(calls))  # the pass's child_bounds calls
         settled.append(stats is not None)
         if stats is None:
             assert (tree_state(self), [list(b) for b in
@@ -936,15 +943,31 @@ def test_a_settling_pass_that_gives_up_leaves_the_tree_untouched(
         assert len(settled) == 1, (inst.a, regime, str(lam))
         return settled[0], res
 
+    def live_roots(lam):
+        # the children the resumed stack holds whose bound beats 0 at lam
+        tree, _ = stopped_tree(inst, regime, Ratio(0, 1))
+        tree._weigh(lam)
+        tree._resume()
+        return sum(tree.bounds[t][c] > 0 for t in range(tree.d + 1)
+                   for c in tree.kids[t][tree.cursor[t]:])
+
     finished = 0  # proofs the clock let finish, in less than 1024 nodes
     for seed in range(6):
         inst, _ = planted_instance(seed, 10, 15, 4, .7, .12)
         for regime in Regime:
             best = solve(inst, regime, seed_lambda=Ratio(0, 1)).solution
             assert resumed_at(best.efficacy)[0]
-            with monkeypatch.context() as mp:
-                mp.setattr(bnb, "_SETTLE_SLABS", 1)
-                assert not resumed_at(best.efficacy)[0]
+            # a cap below the stack's live children, which the pass meets
+            # before it bounds a node, and one they fit that a deeper depth
+            # outgrows
+            roots = live_roots(best.efficacy)
+            assert roots >= 2, roots
+            for cap in (roots - 1, roots):
+                with monkeypatch.context() as mp:
+                    mp.setattr(bnb, "_SETTLE_SLABS", cap)
+                    del bounded[:]
+                    assert not resumed_at(best.efficacy)[0], cap
+                    assert (bounded[0] == 0) == (cap < roots), cap
             ok, res = resumed_at(best.efficacy, time_limit=0)
             assert not ok
             assert res.truncated == (res.stats.nodes >= 1024)
